@@ -38,11 +38,15 @@ bench-json:
 	@rm -f /tmp/bench-fleet.out
 	@cat BENCH_fleet.json
 
-# Profiling workflow (see DESIGN.md "Performance"): cpuprofile the
-# scenario-mix hot path and print the top functions. The profile stays
-# in /tmp for interactive digs: `go tool pprof /tmp/cachepart-cpu.prof`.
+# Profiling workflow (see DESIGN.md "Performance"): cpuprofile one root
+# benchmark (BENCH, default the scenario-mix hot path) and print the top
+# functions; `make profile BENCH=BenchmarkFleetMega10k` profiles fleet
+# placement. The profile stays in /tmp for interactive digs:
+# `go tool pprof /tmp/cachepart-cpu.prof`.
+BENCH ?= BenchmarkScenarioMix
+
 profile:
-	$(GO) test -run '^$$' -bench BenchmarkScenarioMix -benchtime=5x \
+	$(GO) test -run '^$$' -bench '^$(BENCH)$$' -benchtime=5x \
 		-cpuprofile /tmp/cachepart-cpu.prof -o /tmp/cachepart-bench.test .
 	$(GO) tool pprof -top -nodecount=20 /tmp/cachepart-cpu.prof
 

@@ -327,17 +327,17 @@ func BenchmarkFleetRunFast(b *testing.B) {
 }
 
 // warmFleet parses a shipped fleet scenario and runs it once on a fresh
-// quick-scale runner, so the memo holds every oracle simulation the
-// definition needs. Timed iterations over the returned runner then
+// runner at the given scale, so the memo holds every oracle simulation
+// the definition needs. Timed iterations over the returned runner then
 // measure the fleet layer itself — trace generation, oracle pricing
 // from the memo, and the per-policy event loops — not engine sims.
-func warmFleet(b *testing.B, path string) (*sched.Runner, *fleet.Def, string) {
+func warmFleet(b *testing.B, path string, scale float64) (*sched.Runner, *fleet.Def, string) {
 	b.Helper()
 	s, err := scenario.ParseFile(path)
 	if err != nil {
 		b.Fatal(err)
 	}
-	r := sched.New(sched.Options{Scale: sched.QuickScale})
+	r := sched.New(sched.Options{Scale: scale})
 	if _, err := fleet.Run(r, s.Name, s.Fleet); err != nil {
 		b.Fatal(err)
 	}
@@ -351,7 +351,7 @@ func warmFleet(b *testing.B, path string) (*sched.Runner, *fleet.Def, string) {
 // Compare -cpu=1 vs -cpu=4 to see the episode-level scaling the
 // policy-parallel path buys.
 func BenchmarkFleetMultiPolicy(b *testing.B) {
-	r, def, name := warmFleet(b, "examples/scenarios/fleet-consolidation-50.json")
+	r, def, name := warmFleet(b, "examples/scenarios/fleet-consolidation-50.json", sched.QuickScale)
 	npol := len(fleet.Policies())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -371,7 +371,7 @@ func BenchmarkFleetMultiPolicy(b *testing.B) {
 // loop's re-placement machinery (eviction, the requeued FIFO, pending
 // drains) that the allocation-free loop keeps off the heap.
 func BenchmarkFleetChurn(b *testing.B) {
-	r, def, name := warmFleet(b, "examples/scenarios/fleet-churn-50.json")
+	r, def, name := warmFleet(b, "examples/scenarios/fleet-churn-50.json", sched.QuickScale)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rep, err := fleet.Run(r, name, def)
@@ -383,6 +383,27 @@ func BenchmarkFleetChurn(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(fleet.Policies())*b.N)/b.Elapsed().Seconds(), "episodes/s")
+}
+
+// BenchmarkFleetMega10k replays the shipped 10,000-machine example at
+// the engine's default scale under every policy over a warm memo: no
+// simulations, so trace generation, fast-tier pricing and the three
+// 10,000-machine episodes — dominated by placement queries — are the
+// work. `make profile BENCH=BenchmarkFleetMega10k` profiles it.
+func BenchmarkFleetMega10k(b *testing.B) {
+	r, def, name := warmFleet(b, "examples/scenarios/fleet-mega-10k.json", sched.DefaultScale)
+	npol := len(fleet.Policies())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := fleet.Run(r, name, def)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rep.Results) != npol {
+			b.Fatal("missing policy results")
+		}
+	}
+	b.ReportMetric(float64(npol*b.N)/b.Elapsed().Seconds(), "episodes/s")
 }
 
 // probeMix is the canonical profiling mix BenchmarkModelBuild harvests

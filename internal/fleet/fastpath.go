@@ -54,10 +54,9 @@ func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, pol partition.P
 	profiles := map[string]*model.Profile{}
 	for _, name := range order {
 		res := results[probeAt[name]]
-		o.alone[name] = alonePerf{
-			Seconds: res.Jobs[0].Seconds,
-			SocketW: watts(res.Energy.SocketJoules, res.WindowSeconds),
-			WallW:   watts(res.Energy.WallJoules, res.WindowSeconds),
+		if err := o.setAlone(name, res, r.Scale()); err != nil {
+			psp.End()
+			return err
 		}
 		p, err := model.NewProfile(name, apps[name].MLP, res, 0, o.cfg)
 		if err != nil {
@@ -70,7 +69,7 @@ func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, pol partition.P
 	est := model.NewEstimator(o.cfg)
 	for _, fg := range fgs {
 		for _, bg := range bgs {
-			o.pair[pairKey(fg, bg)] = predictPair(est, pol, searcher, profiles[fg], profiles[bg], assoc)
+			o.pair[o.slot(fg, bg)] = predictPair(est, pol, searcher, profiles[fg], profiles[bg], assoc)
 			o.predicted++
 		}
 	}
@@ -85,10 +84,10 @@ func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, pol partition.P
 	// order the exact tier would have planned them.
 	limit, margin := d.slowdownLimit(), d.fastMargin()
 	var exact []sched.Spec
-	exactAt := map[string]int{}
+	exactAt := map[int]int{} // by slot
 	for _, fg := range fgs {
 		for _, bg := range bgs {
-			key := pairKey(fg, bg)
+			key := o.slot(fg, bg)
 			diff := o.pair[key].FgSlowdown - limit
 			if diff < 0 {
 				diff = -diff
@@ -106,12 +105,12 @@ func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, pol partition.P
 	exactRes := r.RunBatchIn(sched.BatchInfo{Span: span, Phase: "resim"}, exact)
 	for _, fg := range fgs {
 		for _, bg := range bgs {
-			key := pairKey(fg, bg)
+			key := o.slot(fg, bg)
 			at, ok := exactAt[key]
 			if !ok {
 				continue
 			}
-			o.pair[key] = harvestPair(exactRes, at, pol, searcher, assoc, o.alone[fg].Seconds)
+			o.pair[key] = harvestPair(exactRes, at, pol, searcher, assoc, o.aloneOf(fg).Seconds)
 			o.predicted--
 			o.resimmed++
 		}

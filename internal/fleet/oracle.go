@@ -46,8 +46,14 @@ type oracle struct {
 	idleSocketW float64
 	idleWallW   float64
 
-	alone map[string]alonePerf
-	pair  map[string]pairPerf
+	// Every application the oracle prices is interned once to a small
+	// dense ID (first-seen order: arrival classes, backlog, timeline-only
+	// batch apps), so the event loop indexes tables instead of hashing
+	// names.
+	ids   map[string]int
+	names []string
+	alone []alonePerf // by app ID
+	pair  []pairPerf  // by fg ID x len(names) + bg ID; zero where never priced
 
 	// fid is the tier that built the pair table; predicted/resimmed
 	// count its co-locations per source (both zero under exact).
@@ -56,7 +62,47 @@ type oracle struct {
 	resimmed  int
 }
 
-func pairKey(fg, bg string) string { return fg + "\x00" + bg }
+// intern assigns dense IDs to names (duplicates folded) and sizes the
+// alone and pair tables over them.
+func (o *oracle) intern(names ...[]string) {
+	o.ids = map[string]int{}
+	for _, list := range names {
+		for _, name := range list {
+			if _, dup := o.ids[name]; !dup {
+				o.ids[name] = len(o.names)
+				o.names = append(o.names, name)
+			}
+		}
+	}
+	o.alone = make([]alonePerf, len(o.names))
+	o.pair = make([]pairPerf, len(o.names)*len(o.names))
+}
+
+// slot is the (fg, bg) co-location's index into the pair table.
+func (o *oracle) slot(fg, bg string) int { return o.ids[fg]*len(o.names) + o.ids[bg] }
+
+// pairOf is the co-location of request app fg beside resident bg, by ID.
+func (o *oracle) pairOf(fg, bg int) *pairPerf { return &o.pair[fg*len(o.names)+bg] }
+
+// aloneOf is the alone baseline of a named application.
+func (o *oracle) aloneOf(name string) alonePerf { return o.alone[o.ids[name]] }
+
+// setAlone records name's alone baseline from its run. A run too short
+// to register any time would give a resident a zero accrual rate — it
+// would never finish and the episode would stall — so it is an error
+// naming the remedy.
+func (o *oracle) setAlone(name string, res *machine.Result, scale float64) error {
+	sec := res.Jobs[0].Seconds
+	if sec <= 0 {
+		return fmt.Errorf("fleet: alone run of %s took %g s at scale %g; raise -scale", name, sec, scale)
+	}
+	o.alone[o.ids[name]] = alonePerf{
+		Seconds: sec,
+		SocketW: watts(res.Energy.SocketJoules, res.WindowSeconds),
+		WallW:   watts(res.Energy.WallJoules, res.WindowSeconds),
+	}
+	return nil
+}
 
 // halfMixes builds the canonical mix shapes on the fleet's platform.
 type halfMixes struct {
@@ -166,8 +212,6 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 		cfg: cfg, override: override,
 		idleSocketW: cfg.Energy.IdlePowerSocket(cfg.Cores),
 		idleWallW:   cfg.Energy.IdlePowerWall(cfg.Cores),
-		alone:       map[string]alonePerf{},
-		pair:        map[string]pairPerf{},
 		fid:         FidelityExact,
 	}
 
@@ -186,10 +230,13 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 			evBgs = append(evBgs, name)
 		}
 	}
+	o.intern(fgs, bgs, evBgs)
 	apps := map[string]*workload.Profile{}
-	for _, name := range append(append(append([]string{}, fgs...), bgs...), evBgs...) {
+	for _, name := range o.names {
 		apps[name] = workload.MustByName(name)
 	}
+	// Every oracle prices each request app beside each batch app.
+	npairs := len(fgs) * (len(bgs) + len(evBgs))
 
 	// One batch: alone baselines for every app, then per (fg, bg) pair
 	// either the full way sweep (biased), the shared co-run, or one
@@ -230,33 +277,34 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 		if err := o.buildFast(r, d, h, pol, searcher, fgs, append(append([]string{}, bgs...), evBgs...), apps, assoc, fid, osp.ID()); err != nil {
 			return nil, err
 		}
-		osp.End(obs.Int("alone", len(o.alone)), obs.Int("pairs", len(o.pair)))
+		osp.End(obs.Int("alone", len(o.names)), obs.Int("pairs", npairs))
 		return o, nil
 	}
 
-	pairAt := map[string]int{} // first spec index of the pair's runs
+	pairAt := map[int]int{} // first spec index of the pair's runs, by slot
 	for _, fg := range fgs {
 		for _, bg := range bgs {
-			pairAt[pairKey(fg, bg)] = len(specs)
+			pairAt[o.slot(fg, bg)] = len(specs)
 			specs = append(specs, pairSpecs(r, h, apps[fg], apps[bg], pol, searcher, assoc)...)
 		}
 	}
 
 	results := r.RunBatchIn(sched.BatchInfo{Span: osp.ID(), Phase: "oracle"}, specs)
 
-	for name, at := range aloneAt {
-		res := results[at]
-		o.alone[name] = alonePerf{
-			Seconds: res.Jobs[0].Seconds,
-			SocketW: watts(res.Energy.SocketJoules, res.WindowSeconds),
-			WallW:   watts(res.Energy.WallJoules, res.WindowSeconds),
+	// Harvest in ID order so the first too-short alone run reported is
+	// deterministic.
+	for _, name := range o.names {
+		if at, ok := aloneAt[name]; ok {
+			if err := o.setAlone(name, results[at], r.Scale()); err != nil {
+				return nil, err
+			}
 		}
 	}
 
 	for _, fg := range fgs {
 		for _, bg := range bgs {
-			key := pairKey(fg, bg)
-			o.pair[key] = harvestPair(results, pairAt[key], pol, searcher, assoc, o.alone[fg].Seconds)
+			k := o.slot(fg, bg)
+			o.pair[k] = harvestPair(results, pairAt[k], pol, searcher, assoc, o.aloneOf(fg).Seconds)
 		}
 	}
 
@@ -274,30 +322,29 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 			evAloneAt[name] = len(rspecs)
 			rspecs = append(rspecs, h.aloneMix(apps[name]))
 		}
-		evPairAt := map[string]int{}
+		evPairAt := map[int]int{}
 		for _, fg := range fgs {
 			for _, bg := range evBgs {
-				evPairAt[pairKey(fg, bg)] = len(rspecs)
+				evPairAt[o.slot(fg, bg)] = len(rspecs)
 				rspecs = append(rspecs, pairSpecs(r, h, apps[fg], apps[bg], pol, searcher, assoc)...)
 			}
 		}
 		rresults := r.RunBatchIn(sched.BatchInfo{Span: osp.ID(), Phase: "replace"}, rspecs)
-		for name, at := range evAloneAt {
-			res := rresults[at]
-			o.alone[name] = alonePerf{
-				Seconds: res.Jobs[0].Seconds,
-				SocketW: watts(res.Energy.SocketJoules, res.WindowSeconds),
-				WallW:   watts(res.Energy.WallJoules, res.WindowSeconds),
+		for _, name := range evBgs {
+			if at, ok := evAloneAt[name]; ok {
+				if err := o.setAlone(name, rresults[at], r.Scale()); err != nil {
+					return nil, err
+				}
 			}
 		}
 		for _, fg := range fgs {
 			for _, bg := range evBgs {
-				key := pairKey(fg, bg)
-				o.pair[key] = harvestPair(rresults, evPairAt[key], pol, searcher, assoc, o.alone[fg].Seconds)
+				k := o.slot(fg, bg)
+				o.pair[k] = harvestPair(rresults, evPairAt[k], pol, searcher, assoc, o.aloneOf(fg).Seconds)
 			}
 		}
 	}
-	osp.End(obs.Int("alone", len(o.alone)), obs.Int("pairs", len(o.pair)))
+	osp.End(obs.Int("alone", len(o.names)), obs.Int("pairs", npairs))
 	return o, nil
 }
 
@@ -376,19 +423,19 @@ func harvestPair(results []*machine.Result, at int, pol partition.Policy, search
 }
 
 // powerState returns the socket/wall power of a machine in the given
-// occupancy state ("" = that half is empty).
-func (o *oracle) powerState(fgApp, bgApp string) (socketW, wallW float64) {
+// occupancy state, by app ID (-1 = that half is empty).
+func (o *oracle) powerState(fg, bg int) (socketW, wallW float64) {
 	switch {
-	case fgApp == "" && bgApp == "":
+	case fg < 0 && bg < 0:
 		return o.idleSocketW, o.idleWallW
-	case fgApp != "" && bgApp != "":
-		p := o.pair[pairKey(fgApp, bgApp)]
+	case fg >= 0 && bg >= 0:
+		p := o.pairOf(fg, bg)
 		return p.SocketW, p.WallW
-	case fgApp != "":
-		a := o.alone[fgApp]
+	case fg >= 0:
+		a := &o.alone[fg]
 		return a.SocketW, a.WallW
 	default:
-		a := o.alone[bgApp]
+		a := &o.alone[bg]
 		return a.SocketW, a.WallW
 	}
 }

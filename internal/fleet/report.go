@@ -232,6 +232,7 @@ func runEpisode(r *sched.Runner, def *Def, o *oracle, pol PolicyName,
 	e0 := time.Now()
 	esp := r.Tracer().Start("episode", parent, obs.String("policy", string(pol)))
 	s := newSim(def, o, pol, arrivals, backlog)
+	defer s.recycle()
 	makespan := s.run()
 	if s.nextItem < len(s.backlog) || s.requeuedLen() > 0 || s.drained != s.totalItems {
 		esp.End()
@@ -253,7 +254,7 @@ func runEpisode(r *sched.Runner, def *Def, o *oracle, pol PolicyName,
 			return PolicyResult{}, fmt.Errorf("fleet: policy %s left request %d unserved", pol, i)
 		}
 		resp := rq.finish - rq.arr.AtSeconds
-		alone := o.alone[rq.arr.App].Seconds
+		alone := o.alone[rq.app].Seconds
 		slow = append(slow, resp/alone)
 		if excess := resp - limit*alone; excess > 0 {
 			pr.SLOViolationMin += excess / 60

@@ -2,6 +2,8 @@ package fleet
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/loadgen"
 )
@@ -99,15 +101,16 @@ func (h *eventHeap) pop() event {
 
 func (s *sim) push(t float64, kind, idx, ver int) { s.events.push(event{t, kind, idx, ver}) }
 
-// machState is one machine of the pool.
+// machState is one machine of the pool. Applications are the oracle's
+// interned IDs.
 type machState struct {
-	fgApp string // active request's application ("" = latency slot idle)
-	fgReq int    // active request index
-	fgVer int    // bumps per dispatch/eviction; voids stale fgDone events
-	queue []int  // waiting request indices, FIFO
+	fg    int   // active request's app ID (-1 = latency slot idle)
+	fgReq int   // active request index
+	fgVer int   // bumps per dispatch/eviction; voids stale fgDone events
+	queue []int // waiting request indices, FIFO
 
-	bgApp       string            // resident batch item's application ("" = none)
-	bgItem      loadgen.BatchItem // the resident item (valid while bgApp != "")
+	bg          int               // resident batch item's app ID (-1 = none)
+	bgItem      loadgen.BatchItem // the resident item (valid while bg >= 0)
 	bgRemaining float64           // iterations left
 	bgRate      float64           // iterations per second at current occupancy
 	bgVer       int
@@ -115,6 +118,7 @@ type machState struct {
 	down      bool    // out of service (failure, or a completed drain)
 	draining  bool    // powering down once the active request completes
 	holdUntil float64 // hysteresis: skipped by placement until then
+	held      bool    // hold not yet released into the placement index
 
 	used        bool
 	latencyUsed bool
@@ -128,6 +132,7 @@ type machState struct {
 
 type reqState struct {
 	arr    loadgen.Arrival
+	app    int // arr.App's interned ID
 	finish float64
 	done   bool
 	group  int // recovery group awaiting this request's re-placement (-1 = none)
@@ -160,6 +165,13 @@ type sim struct {
 	resident int // batch residents currently placed
 	maxBatch int // fleet-wide batch-width cap
 	prefixK  int // util-target's static machine prefix
+	ix       placeIndex
+	// placed, when set, sees each placement decision as it is made —
+	// request app (-1 for a batch item), time, machine, and whether the
+	// partition check rejected a co-location. Production runs leave it
+	// nil; the differential test checks every decision against a
+	// linear-scan reference through it.
+	placed func(app int, now float64, mi int, rejected bool)
 
 	// Churn state (all zero on an event-free run).
 	timeline []Event // def.Events; heap evFleet events index it
@@ -188,45 +200,99 @@ type sim struct {
 	reallocs int
 }
 
+// simBuffers is an episode's bulk storage, handed from a finished sim
+// to the next through simPool. A 10,000-machine episode's machine
+// states, event heap and placement index run to megabytes, and a warm
+// fleet replays one episode per policy in milliseconds: allocating
+// them afresh each time made the heap — and the process RSS — grow and
+// swing with the replay rate.
+type simBuffers struct {
+	machines []machState
+	events   eventHeap
+	reqs     []reqState
+	backlog  []loadgen.BatchItem
+	ix       placeIndex
+}
+
+var simPool = sync.Pool{New: func() any { return new(simBuffers) }}
+
+// reuse returns b resized to n zeroed elements, reusing its backing
+// array when it holds n.
+func reuse[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	b = b[:n]
+	clear(b)
+	return b
+}
+
+// recycle hands the episode's storage to a later episode; s must not
+// be used afterwards.
+func (s *sim) recycle() {
+	simPool.Put(&simBuffers{machines: s.machines, events: s.events, reqs: s.reqs, backlog: s.backlog, ix: s.ix})
+}
+
 func newSim(def *Def, o *oracle, policy PolicyName, arrivals []loadgen.Arrival, backlog []loadgen.BatchItem) *sim {
 	// Size the heap for its worst concurrent population: every arrival
 	// is pushed up front, plus the timeline, plus scheduled completions
-	// and stale versions per machine. The slack keeps steady-state runs
-	// from ever growing the array; a pathological run just grows it.
-	heapCap := len(arrivals) + len(def.Events) + 4*def.Machines + 16
+	// and stale versions per machine that can hold work — never more
+	// machines than work items. The slack keeps steady-state runs from
+	// ever growing the array; a pathological run just grows it.
+	busy := min(def.Machines, len(arrivals)+len(backlog))
+	heapCap := len(arrivals) + len(def.Events) + 4*busy + 16
+	b := simPool.Get().(*simBuffers)
 	s := &sim{
 		def: def, o: o, policy: policy,
-		machines: make([]machState, def.Machines),
-		events:   make(eventHeap, 0, heapCap),
-		reqs:     make([]reqState, len(arrivals)),
+		machines: reuse(b.machines, def.Machines),
+		events:   slices.Grow(b.events[:0], heapCap),
+		reqs:     reuse(b.reqs, len(arrivals)),
 		// Each policy's sim owns its backlog: timeline events append to
 		// and cancel from it, and the trace is shared across policies.
-		backlog:  append([]loadgen.BatchItem(nil), backlog...),
+		backlog:  append(b.backlog[:0], backlog...),
 		maxBatch: def.batchWidth(),
-	}
-	for i := range s.machines {
-		s.machines[i].lastFree = -1
-		s.machines[i].fgReq = -1
+		ix:       b.ix,
 	}
 	for i, a := range arrivals {
-		s.reqs[i] = reqState{arr: a, group: -1}
+		s.reqs[i] = reqState{arr: a, app: o.ids[a.App], group: -1}
 		s.push(a.AtSeconds, evArrival, i, 0)
 	}
 	s.timeline = def.Events
 	s.totalItems = len(backlog)
 	s.itemSeq = len(backlog)
+	ups := 0
 	for i := range s.timeline {
 		// load-scale was consumed by trace generation; machine and
 		// batch events fire inside the loop, after arrivals at equal t.
 		if s.timeline[i].Kind != EvLoadScale {
 			s.push(s.timeline[i].At, evFleet, i, 0)
 		}
+		if s.timeline[i].Kind == EvMachineUp {
+			ups++
+		}
+	}
+	s.ix.reset(def.Machines, len(o.names), ups, policy == SpreadIdle)
+	for i := range s.machines {
+		m := &s.machines[i]
+		m.fg, m.bg, m.fgReq, m.lastFree = -1, -1, -1, -1
+		s.touch(i)
+	}
+	// pack-partition's check, per request app: the resident apps whose
+	// co-location stays within slowdown_limit.
+	limit := def.slowdownLimit()
+	s.ix.pass = make([][]int, len(o.names))
+	for fg := range o.names {
+		for bg := range o.names {
+			if o.pairOf(fg, bg).FgSlowdown <= limit {
+				s.ix.pass[fg] = append(s.ix.pass[fg], bg)
+			}
+		}
 	}
 	// util-target provisions a static machine prefix sized so the
 	// latency load alone fills it to the target: K = ceil(erlangs/U).
 	erlangs := 0.0
 	for _, c := range def.Arrivals {
-		erlangs += c.Rate * o.alone[c.App].Seconds
+		erlangs += c.Rate * o.aloneOf(c.App).Seconds
 	}
 	s.prefixK = int(math.Ceil(erlangs / def.utilTarget()))
 	if s.prefixK < 1 {
@@ -247,16 +313,16 @@ func (s *sim) account(mi int, now float64) {
 		m.accT = now
 		return
 	}
-	sw, ww := s.o.powerState(m.fgApp, m.bgApp)
+	sw, ww := s.o.powerState(m.fg, m.bg)
 	if m.down {
 		sw, ww = 0, 0 // powered off: no idle draw while out of service
 	}
 	m.socketJ += sw * dt
 	m.wallJ += ww * dt
-	if m.fgApp != "" || m.bgApp != "" {
+	if m.fg >= 0 || m.bg >= 0 {
 		m.busySec += dt
 	}
-	if m.bgApp != "" {
+	if m.bg >= 0 {
 		m.bgRemaining -= m.bgRate * dt
 		if m.bgRemaining < 0 {
 			m.bgRemaining = 0
@@ -286,14 +352,14 @@ func (s *sim) dispatch(ri, mi int, now float64) {
 		s.resolveReplace(rq.group, now)
 		rq.group = -1
 	}
-	app := rq.arr.App
-	m.fgApp, m.fgReq = app, ri
+	m.fg, m.fgReq = rq.app, ri
 	m.fgVer++
 	m.used, m.latencyUsed = true, true
+	s.touch(mi)
 
-	service := s.o.alone[app].Seconds
-	if m.bgApp != "" {
-		p := s.o.pair[pairKey(app, m.bgApp)]
+	service := s.o.alone[rq.app].Seconds
+	if m.bg >= 0 {
+		p := s.o.pairOf(rq.app, m.bg)
 		service = p.FgSeconds
 		s.coloc++
 		s.reallocs += p.Reallocs
@@ -304,22 +370,23 @@ func (s *sim) dispatch(ri, mi int, now float64) {
 
 func (s *sim) onFgDone(mi, ver int, now float64) {
 	m := &s.machines[mi]
-	if ver != m.fgVer || m.fgApp == "" {
+	if ver != m.fgVer || m.fg < 0 {
 		return // the request was evicted by a failure; this completion is void
 	}
 	s.account(mi, now)
 	r := &s.reqs[m.fgReq]
 	r.finish, r.done = now, true
-	m.fgApp, m.fgReq = "", -1
+	m.fg, m.fgReq = -1, -1
 	if m.draining {
 		// The deferred maintenance power-down: the queue and resident
 		// were migrated at the drain event, so the machine is empty.
 		m.draining = false
 		m.down = true
+		s.touch(mi)
 		return
 	}
-	if m.bgApp != "" {
-		s.setBgRate(mi, s.o.aloneRate(m.bgApp), now)
+	if m.bg >= 0 {
+		s.setBgRate(mi, s.o.aloneRate(m.bg), now)
 	} else {
 		m.lastFree = now
 	}
@@ -327,7 +394,9 @@ func (s *sim) onFgDone(mi, ver int, now float64) {
 		ri := m.queue[0]
 		m.queue = m.queue[1:]
 		s.dispatch(ri, mi, now)
+		return
 	}
+	s.touch(mi)
 }
 
 func (s *sim) onBgDone(mi, ver int, now float64) {
@@ -336,14 +405,15 @@ func (s *sim) onBgDone(mi, ver int, now float64) {
 		return // rate changed since this event was scheduled
 	}
 	s.account(mi, now)
-	m.bgApp = ""
+	m.bg = -1
 	m.bgRemaining = 0
 	s.resident--
 	s.drained++
 	s.drainT = now
-	if m.fgApp == "" {
+	if m.fg < 0 {
 		m.lastFree = now
 	}
+	s.touch(mi)
 }
 
 func (s *sim) onArrival(ri int, now float64) {
@@ -355,7 +425,10 @@ func (s *sim) onArrival(ri int, now float64) {
 // down or draining, only possible mid-timeline) it pends until the
 // next machine-up.
 func (s *sim) placeRequest(ri int, now float64) {
-	mi, rejected := s.selectMachine(s.reqs[ri].arr.App, now)
+	mi, rejected := s.selectMachine(s.reqs[ri].app, now)
+	if s.placed != nil {
+		s.placed(s.reqs[ri].app, now, mi, rejected)
+	}
 	if rejected {
 		s.rejects++
 	}
@@ -364,211 +437,25 @@ func (s *sim) placeRequest(ri int, now float64) {
 		return
 	}
 	m := &s.machines[mi]
-	if m.fgApp == "" {
+	if m.fg < 0 {
 		s.dispatch(ri, mi, now)
 	} else {
 		m.queue = append(m.queue, ri)
+		s.touch(mi)
 	}
 }
 
-// fgFree reports whether machine mi can start a request immediately.
-func (s *sim) fgFree(mi int) bool {
-	m := &s.machines[mi]
-	return m.fgApp == "" && len(m.queue) == 0
-}
-
-// up reports whether machine mi is in service (not down, not
-// draining). avail additionally requires the hysteresis hold to have
-// expired — the predicate every preferred placement tier uses; up-but-
-// held machines are a last resort only. On an event-free run both are
-// always true, so every tier below behaves exactly as it did without a
-// timeline.
-func (s *sim) up(mi int) bool {
-	m := &s.machines[mi]
-	return !m.down && !m.draining
-}
-
-func (s *sim) avail(mi int, now float64) bool {
-	return s.up(mi) && s.machines[mi].holdUntil <= now
-}
-
-// selectMachine applies the consolidation policy to an arriving
-// request and returns the chosen machine (and, for pack-partition,
-// whether any co-location was rejected by the partition check).
-// -1 means no machine is in service at all.
-func (s *sim) selectMachine(app string, now float64) (int, bool) {
-	avail := func(mi int) bool { return s.avail(mi, now) }
-	switch s.policy {
-	case SpreadIdle:
-		// Fully idle machine, least-recently-used first; then the
-		// shortest queue among resident-free machines. Machines hosting
-		// a batch resident are avoided entirely — spread-idle is the
-		// never-co-locate baseline — unless every machine has one
-		// (batch_width >= machines, an operator choice).
-		if mi := s.pickLRU(func(mi int) bool {
-			return avail(mi) && s.fgFree(mi) && s.machines[mi].bgApp == ""
-		}); mi >= 0 {
-			return mi, false
-		}
-		if mi := s.shortestQueueOK(func(mi int) bool {
-			return avail(mi) && s.machines[mi].bgApp == ""
-		}); mi >= 0 {
-			return mi, false
-		}
-		if mi := s.shortestQueueOK(avail); mi >= 0 {
-			return mi, false
-		}
-		return s.shortestQueueOK(s.up), false
-
-	case PackPartition:
-		// Prefer co-locating with a resident that passes the partition
-		// check; then reuse an already-powered machine; then open a
-		// fresh one; then the shortest queue among machines whose
-		// resident (if any) passes the check, so the limit is honored
-		// when the queued request eventually dispatches. Only a fleet
-		// where every machine hosts a failing resident falls through to
-		// an unchecked queue. An arrival counts as rejected only when
-		// the check actually spilled it — it skipped a failing resident
-		// and no passing resident took it.
-		sawFailing := false
-		limit := s.def.slowdownLimit()
-		compatible := func(mi int) bool {
-			bg := s.machines[mi].bgApp
-			return bg == "" || s.o.pair[pairKey(app, bg)].FgSlowdown <= limit
-		}
-		for mi := range s.machines {
-			m := &s.machines[mi]
-			if !avail(mi) || !s.fgFree(mi) || m.bgApp == "" {
-				continue
-			}
-			if s.o.pair[pairKey(app, m.bgApp)].FgSlowdown <= limit {
-				return mi, false
-			}
-			sawFailing = true
-		}
-		rejected := sawFailing
-		if mi := s.pickIndex(func(mi int) bool {
-			return avail(mi) && s.fgFree(mi) && s.machines[mi].bgApp == "" && s.machines[mi].used
-		}); mi >= 0 {
-			return mi, rejected
-		}
-		if mi := s.pickIndex(func(mi int) bool {
-			return avail(mi) && s.fgFree(mi) && s.machines[mi].bgApp == ""
-		}); mi >= 0 {
-			return mi, rejected
-		}
-		if mi := s.shortestQueueOK(func(mi int) bool {
-			return avail(mi) && compatible(mi)
-		}); mi >= 0 {
-			return mi, rejected
-		}
-		if mi := s.shortestQueueOK(avail); mi >= 0 {
-			return mi, rejected
-		}
-		return s.shortestQueueOK(s.up), rejected
-
-	default: // UtilTarget
-		// Everything lands inside the statically provisioned prefix,
-		// fullest machines first, with no partition check — the
-		// strawman whose tail the check exists to protect. A fully
-		// down prefix spills outside it rather than stalling.
-		if mi := s.pickIndex(func(mi int) bool {
-			return mi < s.prefixK && avail(mi) && s.fgFree(mi) && s.machines[mi].bgApp != ""
-		}); mi >= 0 {
-			return mi, false
-		}
-		if mi := s.pickIndex(func(mi int) bool {
-			return mi < s.prefixK && avail(mi) && s.fgFree(mi)
-		}); mi >= 0 {
-			return mi, false
-		}
-		if mi := s.shortestQueueOK(func(mi int) bool {
-			return mi < s.prefixK && avail(mi)
-		}); mi >= 0 {
-			return mi, false
-		}
-		if mi := s.shortestQueueOK(avail); mi >= 0 {
-			return mi, false
-		}
-		return s.shortestQueueOK(s.up), false
-	}
-}
-
-// pickIndex returns the lowest-index machine satisfying ok, or -1.
-func (s *sim) pickIndex(ok func(int) bool) int {
-	for mi := range s.machines {
-		if ok(mi) {
-			return mi
-		}
-	}
-	return -1
-}
-
-// pickLRU returns the machine satisfying ok that has been idle
-// longest (never-used machines first, by index), or -1.
-func (s *sim) pickLRU(ok func(int) bool) int {
-	best := -1
-	for mi := range s.machines {
-		if !ok(mi) {
-			continue
-		}
-		if best < 0 || s.machines[mi].lastFree < s.machines[best].lastFree {
-			best = mi
-		}
-	}
-	return best
-}
-
-// shortestQueueOK returns the machine with the fewest waiting
-// requests among those satisfying ok (nil = every machine), ties to
-// the lowest index; -1 when none qualifies.
-func (s *sim) shortestQueueOK(ok func(int) bool) int {
-	best := -1
-	for mi := range s.machines {
-		if ok != nil && !ok(mi) {
-			continue
-		}
-		if best < 0 || len(s.machines[mi].queue) < len(s.machines[best].queue) {
-			best = mi
-		}
-	}
-	return best
-}
-
-// placeBatch assigns queued backlog items to batch slots until the
-// width cap or the eligible machines are exhausted. A batch slot only
-// accepts work while the latency slot is idle — service times are
-// fixed at dispatch, so a resident never appears under a running
-// request.
 // requeuedLen is the number of evicted items still awaiting
 // re-placement (the live window of the requeued buffer).
 func (s *sim) requeuedLen() int { return len(s.requeued) - s.reqHead }
 
+// placeBatch assigns queued backlog items to batch slots until the
+// width cap or the eligible machines are exhausted.
 func (s *sim) placeBatch(now float64) {
 	for (s.requeuedLen() > 0 || s.nextItem < len(s.backlog)) && s.resident < s.maxBatch {
-		eligible := func(mi int) bool {
-			m := &s.machines[mi]
-			return s.avail(mi, now) && m.bgApp == "" && m.fgApp == "" && len(m.queue) == 0
-		}
-		var mi int
-		switch s.policy {
-		case SpreadIdle:
-			// Keep batch away from latency traffic: machines that never
-			// served a request first, least-recently-used within each
-			// group.
-			mi = s.pickLRU(func(mi int) bool { return eligible(mi) && !s.machines[mi].latencyUsed })
-			if mi < 0 {
-				mi = s.pickLRU(eligible)
-			}
-		case PackPartition:
-			// Consolidate onto machines the fleet is already paying
-			// for; open a fresh one only when none has a free slot.
-			mi = s.pickIndex(func(mi int) bool { return eligible(mi) && s.machines[mi].used })
-			if mi < 0 {
-				mi = s.pickIndex(eligible)
-			}
-		default: // UtilTarget
-			mi = s.pickIndex(func(mi int) bool { return mi < s.prefixK && eligible(mi) })
+		mi := s.batchMachine(now)
+		if s.placed != nil {
+			s.placed(-1, now, mi, false)
 		}
 		if mi < 0 {
 			return
@@ -591,14 +478,15 @@ func (s *sim) placeBatch(now float64) {
 		s.resident++
 		s.account(mi, now)
 		m := &s.machines[mi]
-		m.bgApp = item.App
+		m.bg = s.o.ids[item.App]
 		m.bgItem = item
 		m.bgRemaining = item.Iterations
 		m.used = true
+		s.touch(mi)
 		if group >= 0 {
 			s.resolveReplace(group, now)
 		}
-		s.setBgRate(mi, s.o.aloneRate(item.App), now)
+		s.setBgRate(mi, s.o.aloneRate(m.bg), now)
 	}
 }
 
@@ -702,7 +590,7 @@ func (s *sim) onMachineDown(ev Event, now float64) {
 		}
 		return g
 	}
-	if m.bgApp != "" {
+	if m.bg >= 0 {
 		item := m.bgItem
 		if ev.Drain {
 			item.Iterations = m.bgRemaining
@@ -713,7 +601,7 @@ func (s *sim) onMachineDown(ev Event, now float64) {
 		s.evicted++
 		s.requeued = append(s.requeued, requeuedItem{item: item, group: group()})
 		s.addPending(group())
-		m.bgApp, m.bgRemaining = "", 0
+		m.bg, m.bgRemaining = -1, 0
 		m.bgVer++
 		s.resident--
 	}
@@ -727,13 +615,13 @@ func (s *sim) onMachineDown(ev Event, now float64) {
 		s.tagReq(ri, group(), now)
 	}
 	act := -1
-	if m.fgApp != "" {
+	if m.fg >= 0 {
 		if ev.Drain {
 			m.draining = true
 		} else {
 			act = m.fgReq
 			m.fgVer++ // the scheduled completion is void
-			m.fgApp, m.fgReq = "", -1
+			m.fg, m.fgReq = -1, -1
 			s.evicted++
 			s.lostJobs++
 			s.tagReq(act, group(), now)
@@ -742,6 +630,7 @@ func (s *sim) onMachineDown(ev Event, now float64) {
 	if !m.draining {
 		m.down = true
 	}
+	s.touch(mi)
 	// Re-place through the active policy: the interrupted request
 	// first, then the queue in FIFO order; placeBatch (called after
 	// every event) re-places the requeued item.
@@ -763,12 +652,14 @@ func (s *sim) onMachineUp(ev Event, now float64) {
 		m.draining = false // the drain had not completed; cancel the power-down
 	} else {
 		m.down = false
+		m.lastFree = now
 		if h := s.def.Hysteresis; h > 0 {
 			m.holdUntil = now + h
 			s.push(m.holdUntil, evWake, mi, 0)
+			s.hold(mi)
 		}
-		m.lastFree = now
 	}
+	s.touch(mi)
 	if len(s.pendingReqs) > 0 {
 		// Swap in the scratch buffer rather than nil: placeRequest may
 		// re-pend a request mid-drain, and it must land in a buffer that
@@ -808,14 +699,8 @@ func (s *sim) cancelItems(app string, n int, now float64) {
 }
 
 // aloneRate is the resident's iteration rate with the latency slot
-// empty.
-func (o *oracle) aloneRate(app string) float64 {
-	sec := o.alone[app].Seconds
-	if sec <= 0 {
-		return 0
-	}
-	return 1 / sec
-}
+// empty. The oracle rejects non-positive alone times, so it is finite.
+func (o *oracle) aloneRate(app int) float64 { return 1 / o.alone[app].Seconds }
 
 // batchWidth is the fleet-wide cap on concurrent batch residents
 // (default: a quarter of the pool).

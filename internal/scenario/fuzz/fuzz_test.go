@@ -7,7 +7,9 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 )
 
 // seeds is the committed corpus: a spread that covers both scenario
@@ -96,5 +98,24 @@ func TestFuzzSeeds(t *testing.T) {
 			t.Parallel()
 			checkSeed(t, seed)
 		})
+	}
+}
+
+// TestTooSmallScaleFailsFast pins the oracle's guard against alone runs
+// too short to register: at a tenth of quick scale, seed 4's fop alone
+// run takes 0 simulated seconds, which would give a fop resident a zero
+// accrual rate and stall the episode with its backlog undrained. The
+// run must instead fail up front with one line naming the app, the
+// scale and the remedy.
+func TestTooSmallScaleFailsFast(t *testing.T) {
+	sc := Generate(4)
+	if sc.Fleet == nil {
+		t.Fatal("seed 4 no longer generates a fleet")
+	}
+	r := sched.New(sched.Options{Scale: sched.QuickScale / 10})
+	_, err := fleet.Run(r, sc.Name, sc.Fleet)
+	const want = "fleet: alone run of fop took 0 s at scale 3e-05; raise -scale"
+	if err == nil || err.Error() != want {
+		t.Fatalf("got error %v, want %q", err, want)
 	}
 }
