@@ -35,3 +35,34 @@ func TestFig9Golden(t *testing.T) {
 		t.Errorf("Fig 9 output drifted from pre-refactor golden\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }
+
+// TestConsolidationGoldens pins Figures 10 through 13 at quick scale
+// the same way TestFig9Golden pins Figure 9: the static-policy
+// consolidation accounting (Figs 10/11), the phase trace of the
+// dynamic controller (Fig 12), and the dynamic-versus-best-static
+// throughput study (Fig 13). Regenerate with -update-golden.
+func TestConsolidationGoldens(t *testing.T) {
+	c := quickAt(0)
+	fig10, fig11, _ := c.Fig10and11Consolidation()
+	for _, g := range []struct{ name, got string }{
+		{"fig10_quick.golden", fig10.String()},
+		{"fig11_quick.golden", fig11.String()},
+		{"fig12_quick.golden", c.Fig12Phases().String()},
+		{"fig13_quick.golden", c.Fig13DynamicThroughput().Table.String()},
+	} {
+		path := filepath.Join("testdata", g.name)
+		if *updateGolden {
+			if err := os.WriteFile(path, []byte(g.got), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with -update-golden): %v", err)
+		}
+		if g.got != string(want) {
+			t.Errorf("%s drifted\n--- want ---\n%s\n--- got ---\n%s", g.name, want, g.got)
+		}
+	}
+}
