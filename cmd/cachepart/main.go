@@ -217,7 +217,7 @@ func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
 	app := fs.String("app", "", "application name (see 'cachepart list')")
 	threads := fs.Int("threads", 4, "software threads (capped by the app)")
-	ways := fs.Int("ways", core.AllWays, "LLC ways allocated (0 = all 12)")
+	ways := fs.Int("ways", 0, "LLC ways allocated (0 = all 12)")
 	scale := fs.Float64("scale", 0, "instruction scale (0 = default)")
 	cacheDir := fs.String("cache-dir", "", "persistent result store directory")
 	if err := fs.Parse(args); err != nil {
@@ -226,21 +226,27 @@ func cmdRun(args []string) error {
 	if *app == "" {
 		return fmt.Errorf("run: -app is required")
 	}
-	if err := validateCacheDir(*cacheDir); err != nil {
-		return err
-	}
-	sys := core.NewSystem(core.Options{Scale: *scale, CacheDir: *cacheDir})
-	t0 := time.Now()
-	rep, err := sys.RunAlone(*app, *threads, *ways)
+	sess, err := core.NewSession(core.RunConfig{Scale: *scale, CacheDir: *cacheDir})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("app=%s threads=%d ways=%d\n", rep.App, rep.Threads, rep.Ways)
-	fmt.Printf("  time       %.4f s (simulated)\n", rep.Seconds)
-	fmt.Printf("  IPC        %.2f (aggregate)\n", rep.IPC)
-	fmt.Printf("  LLC MPKI   %.2f   LLC APKI %.2f\n", rep.LLCMPKI, rep.LLCAPKI)
-	fmt.Printf("  energy     %.2f J socket, %.2f J wall\n", rep.SocketJoules, rep.WallJoules)
-	printEngineLine(sys, *cacheDir)
+	t0 := time.Now()
+	p, err := workload.ByName(*app)
+	if err != nil {
+		return err
+	}
+	r := sess.Runner()
+	if assoc := r.MachineConfig().Hier.LLC.Assoc; *ways < 0 || *ways > assoc {
+		return fmt.Errorf("run: ways %d out of [0,%d]", *ways, assoc)
+	}
+	res := r.RunSingle(sched.SingleSpec{App: p, Threads: *threads, Ways: *ways})
+	j := res.Jobs[0]
+	fmt.Printf("app=%s threads=%d ways=%d\n", p.Name, j.Threads, *ways)
+	fmt.Printf("  time       %.4f s (simulated)\n", j.Seconds)
+	fmt.Printf("  IPC        %.2f (aggregate)\n", j.IPC)
+	fmt.Printf("  LLC MPKI   %.2f   LLC APKI %.2f\n", j.LLCMPKI, j.LLCAPKI)
+	fmt.Printf("  energy     %.2f J socket, %.2f J wall\n", res.Energy.SocketJoules, res.Energy.WallJoules)
+	printEngineLine(sess, *cacheDir)
 	fmt.Printf("  (host time %.2fs)\n", time.Since(t0).Seconds())
 	return nil
 }
@@ -248,15 +254,19 @@ func cmdRun(args []string) error {
 // printEngineLine reports cache activity for the single-run commands
 // when a persistent store is active (run/pair have no batch footer, but
 // -cache-dir users still need to see their disk hits).
-func printEngineLine(sys *core.System, cacheDir string) {
+func printEngineLine(sess *core.Session, cacheDir string) {
 	if cacheDir == "" {
 		return
 	}
-	st := sys.Runner().Stats()
+	st := sess.Stats()
 	fmt.Printf("  engine     %d sims, %d memo hits, %d disk hits\n",
 		st.Simulations, st.MemoHits, st.DiskHits)
 }
 
+// cmdPair prices a partition policy on the §5 pair — the foreground on
+// cores 0-1, the background looping on cores 2-3 — through its
+// partition plan, reporting slowdown against the §5.1 baseline (the
+// foreground alone on 2 cores / 4 hyperthreads with the full LLC).
 func cmdPair(args []string) error {
 	fs := flag.NewFlagSet("pair", flag.ExitOnError)
 	fg := fs.String("fg", "", "foreground application")
@@ -271,29 +281,45 @@ func cmdPair(args []string) error {
 	if *fg == "" || *bg == "" {
 		return fmt.Errorf("pair: -fg and -bg are required")
 	}
-	if err := validateCacheDir(*cacheDir); err != nil {
-		return err
-	}
-	sys := core.NewSystem(core.Options{Scale: *scale, Parallelism: *parallel, CacheDir: *cacheDir})
-	t0 := time.Now()
-	rep, err := sys.Consolidate(*fg, *bg, core.Policy(*policy))
+	sess, err := core.NewSession(core.RunConfig{Scale: *scale, Parallelism: *parallel, CacheDir: *cacheDir})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fg=%s bg=%s policy=%s\n", rep.Fg, rep.Bg, rep.Policy)
-	if rep.FgWays > 0 {
-		fmt.Printf("  LLC split     fg %d ways / bg %d ways\n", rep.FgWays, rep.BgWays)
+	t0 := time.Now()
+	fp, err := workload.ByName(*fg)
+	if err != nil {
+		return err
+	}
+	bp, err := workload.ByName(*bg)
+	if err != nil {
+		return err
+	}
+	pol, err := partition.New(*policy, nil)
+	if err != nil {
+		return err
+	}
+	r := sess.Runner()
+	plan, err := partition.PairPlan(pol, r.MachineConfig(), r.Scale(), fp, bp)
+	if err != nil {
+		return err
+	}
+	alone := r.AloneHalf(fp).Jobs[0].Seconds
+	out := plan.Harvest(r.RunBatch(plan.Specs()), alone)
+	res := out.Main
+	fmt.Printf("fg=%s bg=%s policy=%s\n", fp.Name, bp.Name, *policy)
+	if fgW := out.Ways(0); fgW > 0 {
+		fmt.Printf("  LLC split     fg %d ways / bg %d ways\n", fgW, out.Ways(1))
 	} else {
 		fmt.Printf("  LLC split     fully shared\n")
 	}
 	fmt.Printf("  fg time       %.4f s (slowdown %+.1f%% vs alone)\n",
-		rep.FgSeconds, (rep.FgSlowdown-1)*100)
-	fmt.Printf("  bg throughput %.2f iterations during the fg run\n", rep.BgThroughput)
-	fmt.Printf("  energy        %.2f J socket, %.2f J wall\n", rep.SocketJoules, rep.WallJoules)
-	if rep.Reallocations > 0 { // online policies (dynamic, utility, ...)
-		fmt.Printf("  reallocations %d\n", rep.Reallocations)
+		res.Jobs[0].Seconds, (res.Jobs[0].Seconds/alone-1)*100)
+	fmt.Printf("  bg throughput %.2f iterations during the fg run\n", res.Jobs[1].Iterations)
+	fmt.Printf("  energy        %.2f J socket, %.2f J wall\n", res.Energy.SocketJoules, res.Energy.WallJoules)
+	if out.Reallocations > 0 { // online policies (dynamic, utility, ...)
+		fmt.Printf("  reallocations %d\n", out.Reallocations)
 	}
-	printEngineLine(sys, *cacheDir)
+	printEngineLine(sess, *cacheDir)
 	fmt.Printf("  (host time %.2fs)\n", time.Since(t0).Seconds())
 	return nil
 }

@@ -65,6 +65,9 @@ func TestCmdRunValidation(t *testing.T) {
 	if err := cmdRun([]string{"-app", "nope"}); err == nil {
 		t.Fatal("unknown app accepted")
 	}
+	if err := cmdRun([]string{"-app", "swaptions", "-ways", "13", "-scale", "0.0002"}); err == nil {
+		t.Fatal("13 ways accepted on a 12-way LLC")
+	}
 	if err := cmdRun([]string{"-app", "swaptions", "-scale", "0.0002"}); err != nil {
 		t.Fatal(err)
 	}
@@ -76,6 +79,12 @@ func TestCmdPairValidation(t *testing.T) {
 	}
 	if err := cmdPair([]string{"-fg", "fop", "-bg", "dedup", "-policy", "warp"}); err == nil {
 		t.Fatal("unknown policy accepted")
+	}
+	if err := cmdPair([]string{"-fg", "nope", "-bg", "dedup", "-policy", "shared"}); err == nil {
+		t.Fatal("unknown fg accepted")
+	}
+	if err := cmdPair([]string{"-fg", "fop", "-bg", "nope", "-policy", "shared"}); err == nil {
+		t.Fatal("unknown bg accepted")
 	}
 	if err := cmdPair([]string{"-fg", "fop", "-bg", "dedup", "-policy", "fair", "-scale", "0.0002"}); err != nil {
 		t.Fatal(err)

@@ -12,32 +12,41 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/partition"
+	"repro/internal/scenario"
+	"repro/internal/workload"
 )
 
 func main() {
-	sys := core.NewSystem(core.Options{})
-
-	const fg, bg = "429.mcf", "ferret"
-	alone, err := sys.RunAlone(fg, 4, core.AllWays)
+	sess, err := core.NewSession(core.RunConfig{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("foreground %s alone (2 cores / 4 HTs): %.4f s\n\n", fg, alone.Seconds)
+	r := sess.Runner()
 
-	fmt.Printf("co-scheduling %s (cores 0-1) with %s (cores 2-3):\n\n", fg, bg)
+	fg, bg := workload.MustByName("429.mcf"), workload.MustByName("ferret")
+	alone := r.AloneHalf(fg).Jobs[0].Seconds
+	fmt.Printf("foreground %s alone (2 cores / 4 HTs): %.4f s\n\n", fg.Name, alone)
+
+	fmt.Printf("co-scheduling %s (cores 0-1) with %s (cores 2-3):\n\n", fg.Name, bg.Name)
 	fmt.Printf("%-8s  %-11s  %-12s  %-14s  %-10s\n",
 		"policy", "LLC split", "fg slowdown", "bg iterations", "socket (J)")
-	for _, pol := range core.Policies() {
-		rep, err := sys.Consolidate(fg, bg, pol)
+	for _, name := range scenario.PartitionPolicies() {
+		// Each policy's partition plan lists the runs it needs (the
+		// biased sweep, the online episode, or the static split) and
+		// harvests the outcome from their results.
+		plan, err := partition.PairPlan(partition.MustNew(name, nil), r.MachineConfig(), r.Scale(), fg, bg)
 		if err != nil {
 			log.Fatal(err)
 		}
+		out := plan.Harvest(r.RunBatch(plan.Specs()), alone)
 		split := "12 shared"
-		if rep.FgWays > 0 {
-			split = fmt.Sprintf("%d / %d", rep.FgWays, rep.BgWays)
+		if out.Ways(0) > 0 {
+			split = fmt.Sprintf("%d / %d", out.Ways(0), out.Ways(1))
 		}
+		res := out.Main
 		fmt.Printf("%-8s  %-11s  %+10.1f%%  %14.2f  %10.2f\n",
-			rep.Policy, split, (rep.FgSlowdown-1)*100, rep.BgThroughput, rep.SocketJoules)
+			name, split, (res.Jobs[0].Seconds/alone-1)*100, res.Jobs[1].Iterations, res.Energy.SocketJoules)
 	}
 
 	fmt.Println("\nThe biased split minimizes foreground degradation; the dynamic")

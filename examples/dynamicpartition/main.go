@@ -20,13 +20,16 @@ func main() {
 	fg := workload.MustByName("429.mcf")
 	bg := workload.MustByName("ferret")
 
-	var ctl *partition.Controller
+	// The registered dynamic policy's decision loop, sampling ~500
+	// times over the foreground run (as 100 ms relates to the paper's
+	// multi-minute executions).
+	var ctl *partition.Loop
 	res := r.RunPair(sched.PairSpec{
 		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
 		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-			cfg := partition.DefaultControllerConfig()
-			cfg.IntervalSeconds = fg.Instructions * scale * 1.5 / 3.4e9 / 500
-			ctl = partition.Attach(m, fgJob, bgJob, cfg)
+			ctl = partition.AttachLoop(m,
+				[]partition.LoopJob{{Job: fgJob, Latency: true}, {Job: bgJob}},
+				partition.MustNew("dynamic", nil), partition.SamplingInterval(fg, scale))
 		},
 	})
 

@@ -9,30 +9,34 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/sched"
+	"repro/internal/workload"
 )
 
 func main() {
-	sys := core.NewSystem(core.Options{})
+	sess, err := core.NewSession(core.RunConfig{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	r := sess.Runner()
 
 	// 471.omnetpp is the paper's exemplar of a high-LLC-utility
 	// application (§3.2): every extra way helps it.
-	const app = "471.omnetpp"
+	app := workload.MustByName("471.omnetpp")
 
-	fmt.Printf("running %s alone with every LLC allocation:\n\n", app)
+	fmt.Printf("running %s alone with every LLC allocation:\n\n", app.Name)
 	fmt.Printf("%6s  %10s  %8s  %10s\n", "ways", "time (s)", "MPKI", "socket (J)")
 
-	var full core.RunReport
+	var full float64
 	for _, ways := range []int{12, 8, 4, 2, 1} {
-		rep, err := sys.RunAlone(app, 1, ways)
-		if err != nil {
-			log.Fatal(err)
-		}
+		res := r.RunSingle(sched.SingleSpec{App: app, Threads: 1, Ways: ways})
+		j := res.Jobs[0]
 		if ways == 12 {
-			full = rep
+			full = j.Seconds
 		}
 		fmt.Printf("%6d  %10.4f  %8.2f  %10.2f   (%+.1f%% vs full cache)\n",
-			ways, rep.Seconds, rep.LLCMPKI, rep.SocketJoules,
-			(rep.Seconds/full.Seconds-1)*100)
+			ways, j.Seconds, j.LLCMPKI, res.Energy.SocketJoules,
+			(j.Seconds/full-1)*100)
 	}
 
 	fmt.Println("\nAs on the paper's prototype: performance degrades smoothly with")

@@ -1,214 +1,31 @@
-// Package core is the library's high-level API: it wraps the simulated
-// way-partitionable platform, the workload catalog, and the paper's
-// partitioning policies behind a small surface suitable for building
-// consolidation studies.
+// Package core is the library's high-level API: a Session owns one
+// memoized engine over the simulated way-partitionable platform, built
+// from the one options type every front end decodes into (RunConfig),
+// and runs declarative scenarios and fleets into versioned report
+// envelopes.
 //
 // The paper's central question — can a latency-sensitive foreground
 // application share a machine with background work without losing
-// responsiveness? — maps onto three calls:
+// responsiveness? — maps onto a session's engine plus a partition
+// plan, which prices any registered policy on a job mix:
 //
-//	sys := core.NewSystem(core.Options{})
-//	alone, _ := sys.RunAlone("429.mcf", 4, core.AllWays)
-//	together, _ := sys.Consolidate("429.mcf", "ferret", core.PolicyDynamic)
-//	fmt.Println(together.FgSlowdown, together.BgThroughput)
+//	sess, _ := core.NewSession(core.RunConfig{})
+//	r := sess.Runner()
+//	fg, bg := workload.MustByName("429.mcf"), workload.MustByName("ferret")
+//	plan, _ := partition.PairPlan(partition.MustNew("dynamic", nil),
+//		r.MachineConfig(), r.Scale(), fg, bg)
+//	out := plan.Harvest(r.RunBatch(plan.Specs()), r.AloneHalf(fg).Jobs[0].Seconds)
+//	fmt.Println(out.Main.Jobs[0].Seconds, out.Reallocations)
 //
 // Everything deeper (cache geometry, prefetchers, energy coefficients,
 // experiment drivers for each paper figure) lives in the sibling
 // internal packages.
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/machine"
-	"repro/internal/partition"
-	"repro/internal/sched"
-	"repro/internal/workload"
-)
-
-// AllWays requests the full 12-way LLC.
-const AllWays = 0
-
-// Policy selects how the LLC is managed for a consolidated pair: any
-// name in the partition-policy registry.
-type Policy string
-
-// The shipped policies.
-const (
-	PolicyShared  Policy = "shared"
-	PolicyFair    Policy = "fair"
-	PolicyBiased  Policy = "biased"
-	PolicyDynamic Policy = "dynamic"
-	PolicyUtility Policy = "utility"
-)
-
-// Policies lists the §5-§6 policies plus the utility scheme in
-// presentation order.
-func Policies() []Policy {
-	return []Policy{PolicyShared, PolicyFair, PolicyBiased, PolicyDynamic, PolicyUtility}
-}
-
-// Options configure a System.
-type Options struct {
-	// Scale multiplies the catalog's nominal instruction counts
-	// (0 = sched.DefaultScale). Larger values cost proportionally more
-	// simulation time and give cleaner steady-state numbers.
-	Scale float64
-	// Parallelism is the worker count independent simulations (policy
-	// searches, sweeps) fan across (0 = GOMAXPROCS, 1 = serial).
-	// Results are identical at any setting; only host time changes.
-	Parallelism int
-	// CacheDir, when non-empty, persists simulation results to disk so
-	// repeated invocations — including other processes — skip
-	// simulations they have already run (see sched.Options.CacheDir).
-	CacheDir string
-}
-
-// System is a simulated platform plus a memoized run cache. It is safe
-// for concurrent use; independent simulations fan across the engine's
-// worker pool.
-type System struct {
-	r *sched.Runner
-}
-
-// NewSystem builds a system with the paper's platform: 4-core/8-thread
-// Sandy Bridge client, 6 MB 12-way inclusive LLC with way partitioning,
-// four hardware prefetchers, ring interconnect, dual-channel DDR3.
-func NewSystem(opt Options) *System {
-	return &System{r: sched.New(sched.Options{
-		Scale:       opt.Scale,
-		Parallelism: opt.Parallelism,
-		CacheDir:    opt.CacheDir,
-	})}
-}
-
-// Runner exposes the underlying scheduler for advanced scenarios
-// (experiment drivers, custom placements).
-func (s *System) Runner() *sched.Runner { return s.r }
+import "repro/internal/workload"
 
 // Workloads lists the 45 applications of the catalog in suite order.
 func Workloads() []string { return workload.Names() }
 
 // Representatives lists the six Table 3 cluster representatives.
 func Representatives() []string { return workload.RepresentativeNames() }
-
-// RunReport summarizes a standalone run.
-type RunReport struct {
-	App          string
-	Threads      int
-	Ways         int
-	Seconds      float64
-	IPC          float64
-	LLCMPKI      float64
-	LLCAPKI      float64
-	SocketJoules float64
-	WallJoules   float64
-}
-
-// RunAlone executes one application alone on the machine with the given
-// software thread count and LLC way allocation (AllWays = no
-// restriction). Threads beyond the application's parallelism are capped.
-func (s *System) RunAlone(app string, threads, ways int) (RunReport, error) {
-	p, err := workload.ByName(app)
-	if err != nil {
-		return RunReport{}, err
-	}
-	if ways < 0 || ways > 12 {
-		return RunReport{}, fmt.Errorf("core: ways %d out of [0,12]", ways)
-	}
-	res := s.r.RunSingle(sched.SingleSpec{App: p, Threads: threads, Ways: ways})
-	j := res.JobByName(p.Name)
-	return RunReport{
-		App: p.Name, Threads: j.Threads, Ways: ways,
-		Seconds: j.Seconds, IPC: j.IPC,
-		LLCMPKI: j.LLCMPKI, LLCAPKI: j.LLCAPKI,
-		SocketJoules: res.Energy.SocketJoules,
-		WallJoules:   res.Energy.WallJoules,
-	}, nil
-}
-
-// ConsolidationReport summarizes a foreground/background co-schedule.
-type ConsolidationReport struct {
-	Fg, Bg string
-	Policy Policy
-
-	// FgWays/BgWays are the static split used (0/0 for shared; for the
-	// dynamic policy they are the controller's final allocation).
-	FgWays, BgWays int
-
-	// FgSeconds is the foreground completion time; FgSlowdown is
-	// relative to the foreground alone on two cores with the full LLC.
-	FgSeconds  float64
-	FgSlowdown float64
-
-	// BgThroughput counts background iterations completed during the
-	// foreground run.
-	BgThroughput float64
-
-	SocketJoules float64
-	WallJoules   float64
-
-	// Reallocations counts dynamic mask changes (dynamic policy only).
-	Reallocations int
-}
-
-// Consolidate co-schedules fg (cores 0-1, 4 hyperthreads) with a
-// continuously-running bg (cores 2-3) under the named partition
-// policy, dispatched through the policy registry: search policies
-// (biased) run the paper's exhaustive sweep, online policies (dynamic,
-// utility) attach their decision loop, offline policies apply their
-// static split.
-func (s *System) Consolidate(fg, bg string, policy Policy) (ConsolidationReport, error) {
-	fp, err := workload.ByName(fg)
-	if err != nil {
-		return ConsolidationReport{}, err
-	}
-	bp, err := workload.ByName(bg)
-	if err != nil {
-		return ConsolidationReport{}, err
-	}
-	pol, err := partition.New(string(policy), nil)
-	if err != nil {
-		return ConsolidationReport{}, fmt.Errorf("core: unknown policy %q", policy)
-	}
-	alone := s.r.AloneHalf(fp).JobByName(fp.Name).Seconds
-	assoc := s.r.MachineConfig().Hier.LLC.Assoc
-
-	rep := ConsolidationReport{Fg: fp.Name, Bg: bp.Name, Policy: policy}
-	var res *machine.Result
-	switch searcher, _ := pol.(partition.Searcher); {
-	case searcher != nil:
-		ch := partition.BestSplit(s.r, searcher, fp, bp)
-		rep.FgWays, rep.BgWays = ch.FgWays, ch.BgWays
-		res = s.r.RunPair(sched.PairSpec{Fg: fp, Bg: bp,
-			FgWays: ch.FgWays, BgWays: ch.BgWays, Mode: sched.BackgroundLoop})
-	case pol.Online():
-		interval := partition.SamplingInterval(fp, s.r.Scale())
-		res = s.r.RunPair(sched.PairSpec{
-			Fg: fp, Bg: bp, Mode: sched.BackgroundLoop,
-			Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-				partition.AttachLoop(m, []partition.LoopJob{
-					{Job: fgJob, Cores: fgJob.Cores(), App: fp.Name, Latency: true},
-					{Job: bgJob, Cores: bgJob.Cores(), App: bp.Name},
-				}, pol, interval)
-			},
-			PolicyKey: partition.RunKey(pol, interval, []bool{true, false}),
-		})
-		if tr := res.Partition; tr != nil && len(tr.FinalWays) == 2 {
-			rep.FgWays, rep.BgWays = tr.FinalWays[0], tr.FinalWays[1]
-			rep.Reallocations = tr.Reallocations
-		}
-	default:
-		rep.FgWays, rep.BgWays = partition.PairWays(pol, assoc)
-		res = s.r.RunPair(sched.PairSpec{Fg: fp, Bg: bp,
-			FgWays: rep.FgWays, BgWays: rep.BgWays, Mode: sched.BackgroundLoop})
-	}
-
-	fgJ := res.JobByName(fp.Name)
-	rep.FgSeconds = fgJ.Seconds
-	rep.FgSlowdown = fgJ.Seconds / alone
-	rep.BgThroughput = res.JobByName(bp.Name).Iterations
-	rep.SocketJoules = res.Energy.SocketJoules
-	rep.WallJoules = res.Energy.WallJoules
-	return rep, nil
-}

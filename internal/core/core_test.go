@@ -2,88 +2,11 @@ package core
 
 import "testing"
 
-func testSystem() *System { return NewSystem(Options{Scale: 5e-4}) }
-
 func TestWorkloadsListed(t *testing.T) {
 	if len(Workloads()) != 45 {
 		t.Fatalf("%d workloads", len(Workloads()))
 	}
 	if len(Representatives()) != 6 {
 		t.Fatalf("%d representatives", len(Representatives()))
-	}
-}
-
-func TestRunAlone(t *testing.T) {
-	s := testSystem()
-	rep, err := s.RunAlone("ferret", 4, AllWays)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Seconds <= 0 || rep.IPC <= 0 || rep.SocketJoules <= 0 {
-		t.Fatalf("report: %+v", rep)
-	}
-	if rep.Threads != 4 {
-		t.Fatalf("threads = %d", rep.Threads)
-	}
-}
-
-func TestRunAloneErrors(t *testing.T) {
-	s := testSystem()
-	if _, err := s.RunAlone("nope", 4, AllWays); err == nil {
-		t.Fatal("unknown app accepted")
-	}
-	if _, err := s.RunAlone("ferret", 4, 13); err == nil {
-		t.Fatal("13 ways accepted")
-	}
-}
-
-func TestConsolidatePolicies(t *testing.T) {
-	s := testSystem()
-	for _, pol := range Policies() {
-		rep, err := s.Consolidate("fop", "dedup", pol)
-		if err != nil {
-			t.Fatalf("%s: %v", pol, err)
-		}
-		if rep.FgSlowdown <= 0 || rep.BgThroughput <= 0 {
-			t.Fatalf("%s: %+v", pol, rep)
-		}
-		switch pol {
-		case PolicyShared:
-			if rep.FgWays != 0 || rep.BgWays != 0 {
-				t.Fatalf("shared reported ways %d/%d", rep.FgWays, rep.BgWays)
-			}
-		case PolicyFair:
-			if rep.FgWays != 6 || rep.BgWays != 6 {
-				t.Fatalf("fair reported ways %d/%d", rep.FgWays, rep.BgWays)
-			}
-		case PolicyBiased, PolicyDynamic:
-			if rep.FgWays < 1 || rep.FgWays > 11 {
-				t.Fatalf("%s fg ways %d", pol, rep.FgWays)
-			}
-		}
-	}
-}
-
-func TestConsolidateUnknownPolicy(t *testing.T) {
-	s := testSystem()
-	if _, err := s.Consolidate("fop", "dedup", Policy("magic")); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-	if _, err := s.Consolidate("nope", "dedup", PolicyShared); err == nil {
-		t.Fatal("unknown fg accepted")
-	}
-	if _, err := s.Consolidate("fop", "nope", PolicyShared); err == nil {
-		t.Fatal("unknown bg accepted")
-	}
-}
-
-func TestDynamicReportsReallocations(t *testing.T) {
-	s := NewSystem(Options{Scale: 1e-3})
-	rep, err := s.Consolidate("429.mcf", "ferret", PolicyDynamic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Reallocations == 0 {
-		t.Fatal("dynamic policy never reallocated on a phased foreground")
 	}
 }

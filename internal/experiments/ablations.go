@@ -62,8 +62,8 @@ func (c *Context) AblationSmallLLC() *Table {
 			if i == j {
 				continue
 			}
-			specs6 = append(specs6, policySweepSpecs(fg, bg, 12)...)
-			specs2 = append(specs2, policySweepSpecs(fg, bg, 8)...)
+			specs6 = append(specs6, policySweepSpecs(big.MachineConfig(), fg, bg)...)
+			specs2 = append(specs2, policySweepSpecs(small.MachineConfig(), fg, bg)...)
 		}
 	}
 	warmAll([]*sched.Runner{big, small}, specs6, specs2)
@@ -74,8 +74,8 @@ func (c *Context) AblationSmallLLC() *Table {
 			if i == j {
 				continue
 			}
-			s6, b6 := policySlowdowns(big, fg, bg, 12)
-			s2, b2 := policySlowdowns(small, fg, bg, 8)
+			s6, b6 := policySlowdowns(big, fg, bg)
+			s2, b2 := policySlowdowns(small, fg, bg)
 			gain6 = append(gain6, s6-b6)
 			gain2 = append(gain2, s2-b2)
 			t.Add(fmt.Sprintf("C%d+C%d", i+1, j+1),
@@ -89,20 +89,21 @@ func (c *Context) AblationSmallLLC() *Table {
 	return t
 }
 
-// policySweepSpecs lists one pair's policy comparison on a platform
-// with the given associativity: the biased-search sweep (alone
-// baseline plus every uneven split) and the shared run.
-func policySweepSpecs(fg, bg *workload.Profile, assoc int) []sched.Spec {
-	search := partition.SearchSpecs(assoc, fg, bg)
+// policySweepSpecs lists one pair's policy comparison on a platform:
+// the biased-search sweep (alone baseline plus every uneven split of
+// its LLC) and the shared run.
+func policySweepSpecs(cfg machine.Config, fg, bg *workload.Profile) []sched.Spec {
+	search := partition.SearchSpecs(cfg, fg, bg)
 	specs := []sched.Spec{search[0],
 		sched.PairSpec{Fg: fg, Bg: bg, Mode: sched.BackgroundLoop}}
 	return append(specs, search[1:]...)
 }
 
-// policySlowdowns returns (shared, bestBiased) fg slowdowns for a pair
-// on the given runner, running the sweep as one batch.
-func policySlowdowns(r *sched.Runner, fg, bg *workload.Profile, assoc int) (float64, float64) {
-	results := r.RunBatch(policySweepSpecs(fg, bg, assoc))
+// policySlowdowns returns (shared, best-split) fg slowdowns for a pair
+// on the given runner, running the sweep as one batch. The best split
+// is the minimum over the sweep, not a searcher's selection rule.
+func policySlowdowns(r *sched.Runner, fg, bg *workload.Profile) (float64, float64) {
+	results := r.RunBatch(policySweepSpecs(r.MachineConfig(), fg, bg))
 	alone := results[0].JobByName(fg.Name).Seconds
 	shared := results[1].JobByName(fg.Name).Seconds / alone
 	best := shared

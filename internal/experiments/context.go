@@ -138,9 +138,9 @@ func pairMix(assoc int, fg, bg *workload.Profile, fgWays, bgWays int, once bool)
 }
 
 // pairRun compiles the §5 pair shape down to the engine's mix spec.
-// The compiled mix reduces to the same memo entry as the legacy
-// sched.PairSpec, so scenario-expressed drivers dedup against the
-// partition searches and each other exactly as before.
+// The compiled mix reduces to the same memo entry as sched.PairSpec's
+// mix, so scenario-expressed drivers dedup against the partition plans
+// (partition.PairPlan) and each other.
 func (c *Context) pairRun(fg, bg *workload.Profile, fgWays, bgWays int, once bool) sched.Spec {
 	cfg := c.R.MachineConfig()
 	mix, err := pairMix(cfg.Hier.LLC.Assoc, fg, bg, fgWays, bgWays, once).Compile(cfg)

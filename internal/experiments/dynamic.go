@@ -13,8 +13,7 @@ import (
 )
 
 // controllerInterval sizes the sampling period; the rule is shared
-// with the scenario layer and the core API through
-// partition.SamplingInterval.
+// with every online partition plan through partition.SamplingInterval.
 func (c *Context) controllerInterval(fg *workload.Profile) float64 {
 	return partition.SamplingInterval(fg, c.R.Scale())
 }
@@ -35,15 +34,6 @@ func (c *Context) dynamicSpec(fg, bg *workload.Profile, lp **partition.Loop) sch
 		panic("experiments: " + err.Error())
 	}
 	return mix
-}
-
-// RunDynamic co-schedules fg and bg with the §6 controller attached and
-// returns the run result plus the decision loop (for its MPKI/ways
-// trace).
-func (c *Context) RunDynamic(fg, bg *workload.Profile) (*machine.Result, *partition.Loop) {
-	var lp *partition.Loop
-	res := c.R.Run(c.dynamicSpec(fg, bg, &lp))
-	return res, lp
 }
 
 // Fig12Phases reproduces Figure 12: 429.mcf's MPKI over time under each
@@ -142,7 +132,7 @@ func (c *Context) Fig13DynamicThroughput() *Fig13Result {
 	var specs []sched.Spec
 	for _, fg := range c.Reps {
 		for _, bg := range c.Reps {
-			specs = append(specs, partition.SearchSpecs(12, fg, bg)...)
+			specs = append(specs, partition.SearchSpecs(c.R.MachineConfig(), fg, bg)...)
 			specs = append(specs, c.pairRun(fg, bg, 0, 0, false))
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/partition"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -114,18 +115,40 @@ type PolicyOutcome struct {
 	FgWays       int     // static allocation used (0 = shared)
 }
 
-// biasedCache memoizes the exhaustive biased search per pair.
-type biasedKey struct{ fg, bg string }
-
-var _ = biasedKey{}
-
 // Fig9Result carries the static-policy comparison.
 type Fig9Result struct {
 	Table    *Table
 	Outcomes []PolicyOutcome
 	// Avg and worst fg slowdown per policy name.
 	Avg, Worst map[string]float64
-	Biased     map[biasedKey]partition.BiasedChoice
+}
+
+// pairPlan is pol's partition plan on the §5 pair.
+func (c *Context) pairPlan(pol partition.Policy, fg, bg *workload.Profile) *partition.Plan {
+	plan, err := partition.PairPlan(pol, c.R.MachineConfig(), c.R.Scale(), fg, bg)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	return plan
+}
+
+// pricePair runs pol's plan on the §5 pair (memo hits once a figure's
+// sweep is submitted) and harvests its outcome; alone is fg's §5.1
+// baseline.
+func (c *Context) pricePair(pol partition.Policy, fg, bg *workload.Profile, alone float64) partition.Outcome {
+	plan := c.pairPlan(pol, fg, bg)
+	return plan.Harvest(c.R.RunBatch(plan.Specs()), alone)
+}
+
+// staticPlanSpecs lists the runs of a pair's three §5.2 static-policy
+// plans — the biased sweep (which includes the eventual biased run)
+// and the shared and fair splits — after fg's alone baseline.
+func (c *Context) staticPlanSpecs(fg, bg *workload.Profile) []sched.Spec {
+	specs := []sched.Spec{sched.AloneHalfSpec(fg)}
+	for _, pol := range partition.StaticPolicies() {
+		specs = append(specs, c.pairPlan(pol, fg, bg).Specs()...)
+	}
+	return specs
 }
 
 // Fig9StaticPolicies reproduces Figure 9: foreground degradation under
@@ -133,26 +156,20 @@ type Fig9Result struct {
 // representatives.
 func (c *Context) Fig9StaticPolicies() *Fig9Result {
 	res := &Fig9Result{
-		Avg:    map[string]float64{},
-		Worst:  map[string]float64{},
-		Biased: map[biasedKey]partition.BiasedChoice{},
+		Avg:   map[string]float64{},
+		Worst: map[string]float64{},
 	}
 	sums := map[string][]float64{}
 
 	t := &Table{Title: "Figure 9: fg slowdown by policy (pairs Ci+Cj of Table 3 representatives)",
 		Columns: []string{"pair", "shared", "fair", "biased", "biased ways"}}
-	assoc := 12
 
-	// Submit every pair's full sweep up front: the biased search splits
-	// (which include each pair's eventual biased run) plus the shared
-	// and fair configurations. Assembly below then runs off memo hits.
+	// Submit every pair's static-policy plans up front; assembly below
+	// then runs off memo hits.
 	var specs []sched.Spec
 	for _, fg := range c.Reps {
 		for _, bg := range c.Reps {
-			specs = append(specs, partition.SearchSpecs(assoc, fg, bg)...)
-			specs = append(specs,
-				c.pairRun(fg, bg, 0, 0, false),
-				c.pairRun(fg, bg, assoc/2, assoc-assoc/2, false))
+			specs = append(specs, c.staticPlanSpecs(fg, bg)...)
 		}
 	}
 	c.submit(specs)
@@ -164,23 +181,16 @@ func (c *Context) Fig9StaticPolicies() *Fig9Result {
 			row := []string{label}
 			var biasedWays int
 			for _, pol := range partition.StaticPolicies() {
-				var fgW, bgW int
-				var choice partition.BiasedChoice
-				if _, ok := pol.(partition.Searcher); ok {
-					choice = partition.BestBiased(c.R, fg, bg)
-					res.Biased[biasedKey{fg.Name, bg.Name}] = choice
-					fgW, bgW = choice.FgWays, choice.BgWays
-					biasedWays = fgW
-				} else {
-					fgW, bgW = partition.PairWays(pol, assoc)
+				out := c.pricePair(pol, fg, bg, alone)
+				if pol.Name() == scenario.PartitionBiased {
+					biasedWays = out.LatencyWays
 				}
-				pair := c.R.Run(c.pairRun(fg, bg, fgW, bgW, false))
-				sd := pair.JobByName(fg.Name).Seconds / alone
+				sd := out.Main.Jobs[0].Seconds / alone
 				res.Outcomes = append(res.Outcomes, PolicyOutcome{
 					Fg: fg.Name, Bg: bg.Name, Policy: pol.Name(),
 					FgSlowdown:   sd,
-					BgIterations: pair.JobByName(bg.Name).Iterations,
-					FgWays:       fgW,
+					BgIterations: out.Main.Jobs[1].Iterations,
+					FgWays:       out.LatencyWays,
 				})
 				sums[pol.Name()] = append(sums[pol.Name()], sd)
 				row = append(row, fmt.Sprintf("%.3f", sd))
@@ -221,34 +231,33 @@ func (c *Context) Fig10and11Consolidation() (*Table, *Table, []ConsolidationOutc
 	var outcomes []ConsolidationOutcome
 	sumsE := map[string][]float64{}
 	sumsW := map[string][]float64{}
-	assoc := 12
 
-	// Stage 1: sequential baselines, biased searches, and the shared and
-	// fair consolidation runs — everything whose spec is known up front.
+	// Stage 1: sequential baselines and every pair's static-policy
+	// plans, whose runs decide each policy's split.
 	var stage1 []sched.Spec
 	for i, a := range c.Reps {
 		stage1 = append(stage1, sched.AloneWholeSpec(a))
 		for j := i; j < len(c.Reps); j++ {
-			b := c.Reps[j]
-			stage1 = append(stage1, partition.SearchSpecs(assoc, a, b)...)
-			stage1 = append(stage1,
-				c.pairRun(a, b, 0, 0, true),
-				c.pairRun(a, b, assoc/2, assoc-assoc/2, true))
+			stage1 = append(stage1, c.staticPlanSpecs(a, c.Reps[j])...)
 		}
 	}
 	c.submit(stage1)
 
-	// Stage 2: the biased consolidation runs, whose splits the searches
-	// above just decided (BestBiased is now a memo-hit re-read).
+	// Stage 2: each policy's consolidation run — both applications run
+	// once — at the split its plan chose (re-harvesting the plans is
+	// memo hits), as one batch in assembly order.
 	var stage2 []sched.Spec
 	for i, a := range c.Reps {
+		alone := c.aloneHalfSeconds(a)
 		for j := i; j < len(c.Reps); j++ {
 			b := c.Reps[j]
-			ch := partition.BestBiased(c.R, a, b)
-			stage2 = append(stage2, c.pairRun(a, b, ch.FgWays, ch.BgWays, true))
+			for _, pol := range partition.StaticPolicies() {
+				out := c.pricePair(pol, a, b, alone)
+				stage2 = append(stage2, c.pairRun(a, b, out.Ways(0), out.Ways(1), true))
+			}
 		}
 	}
-	c.submit(stage2)
+	runs := c.R.RunBatch(stage2)
 
 	for i, a := range c.Reps {
 		for j := i; j < len(c.Reps); j++ {
@@ -262,14 +271,8 @@ func (c *Context) Fig10and11Consolidation() (*Table, *Table, []ConsolidationOutc
 			rowE := []string{fmt.Sprintf("C%d+C%d", i+1, j+1)}
 			rowW := []string{rowE[0]}
 			for _, pol := range partition.StaticPolicies() {
-				var fgW, bgW int
-				if _, ok := pol.(partition.Searcher); ok {
-					ch := partition.BestBiased(c.R, a, b)
-					fgW, bgW = ch.FgWays, ch.BgWays
-				} else {
-					fgW, bgW = partition.PairWays(pol, assoc)
-				}
-				pair := c.R.Run(c.pairRun(a, b, fgW, bgW, true))
+				pair := runs[0]
+				runs = runs[1:]
 				relE := pair.Energy.SocketJoules / seqEnergy
 				ws := aAlone/pair.JobByName(a.Name).Seconds +
 					bAlone/pair.JobByName(b.Name).Seconds

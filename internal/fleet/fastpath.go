@@ -29,9 +29,8 @@ func (h halfMixes) probeAloneMix(app *workload.Profile) sched.MixSpec {
 // borderline pairs whose predicted request slowdown lands within the
 // fleet's fast_margin of slowdown_limit (the band where an analytic
 // error could flip a pack-partition admission decision).
-func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, pol partition.Policy,
-	searcher partition.Searcher, fgs, bgs []string, apps map[string]*workload.Profile,
-	assoc int, fid Fidelity, span obs.SpanID) error {
+func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, plans []*partition.Plan,
+	fgs, bgs []string, apps map[string]*workload.Profile, fid Fidelity, span obs.SpanID) error {
 	o.fid = fid
 
 	var specs []sched.Spec
@@ -69,7 +68,15 @@ func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, pol partition.P
 	est := model.NewEstimator(o.cfg)
 	for _, fg := range fgs {
 		for _, bg := range bgs {
-			o.pair[o.slot(fg, bg)] = predictPair(est, pol, searcher, profiles[fg], profiles[bg], assoc)
+			k := o.slot(fg, bg)
+			pred := plans[k].Predict(est, profiles[fg], profiles[bg])
+			o.pair[k] = pairPerf{
+				FgSeconds:  pred.FgSeconds,
+				FgSlowdown: pred.FgSlowdown,
+				BgRate:     pred.BgRate,
+				SocketW:    pred.SocketW,
+				WallW:      pred.WallW,
+			}
 			o.predicted++
 		}
 	}
@@ -96,7 +103,7 @@ func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, pol partition.P
 				continue
 			}
 			exactAt[key] = len(exact)
-			exact = append(exact, pairSpecs(r, h, apps[fg], apps[bg], pol, searcher, assoc)...)
+			exact = append(exact, plans[key].Specs()...)
 		}
 	}
 	if len(exact) == 0 {
@@ -110,64 +117,10 @@ func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, pol partition.P
 			if !ok {
 				continue
 			}
-			o.pair[key] = harvestPair(exactRes, at, pol, searcher, assoc, o.aloneOf(fg).Seconds)
+			o.pair[key] = exactPerf(plans[key], exactRes[at:], o.aloneOf(fg).Seconds)
 			o.predicted--
 			o.resimmed++
 		}
 	}
 	return nil
-}
-
-// predictPair forecasts one co-location under the partition policy,
-// mirroring the exact tier's dispatch: a Searcher picks over predicted
-// candidates with its own selection rule, an online policy gets the
-// split that maximizes combined predicted hit rate (the utility
-// objective), and an offline policy is priced at its static split —
-// or at the LRU-competition equilibrium when it leaves the cache
-// shared.
-func predictPair(est *model.Estimator, pol partition.Policy, searcher partition.Searcher,
-	fg, bg *model.Profile, assoc int) pairPerf {
-	var pred model.PairPrediction
-	var fgWays int
-	switch {
-	case searcher != nil:
-		cands := make([]partition.Candidate, assoc-1)
-		preds := make([]model.PairPrediction, assoc-1)
-		for w := 1; w < assoc; w++ {
-			p := est.PredictPair(fg, bg, float64(w), float64(assoc-w))
-			preds[w-1] = p
-			cands[w-1] = partition.Candidate{
-				FgWays:       w,
-				FgSlowdown:   p.FgSlowdown,
-				BgThroughput: p.BgRate * p.FgSeconds,
-			}
-		}
-		pick := searcher.Pick(cands)
-		pred, fgWays = preds[pick], cands[pick].FgWays
-	case pol.Online():
-		best, bestVal := assoc/2, -1.0
-		for w := 1; w < assoc; w++ {
-			v := fg.HitRatePerSec(float64(w)) + bg.HitRatePerSec(float64(assoc-w))
-			if v > bestVal {
-				best, bestVal = w, v
-			}
-		}
-		pred, fgWays = est.PredictPair(fg, bg, float64(best), float64(assoc-best)), best
-	default:
-		fgW, bgW := partition.PairWays(pol, assoc)
-		if fgW == 0 && bgW == 0 {
-			wf, wb := est.SharedWays(fg, bg)
-			pred, fgWays = est.PredictPair(fg, bg, wf, wb), 0
-		} else {
-			pred, fgWays = est.PredictPair(fg, bg, float64(fgW), float64(bgW)), fgW
-		}
-	}
-	return pairPerf{
-		FgSeconds:  pred.FgSeconds,
-		FgSlowdown: pred.FgSlowdown,
-		BgRate:     pred.BgRate,
-		FgWays:     fgWays,
-		SocketW:    pred.SocketW,
-		WallW:      pred.WallW,
-	}
 }

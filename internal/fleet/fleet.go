@@ -52,26 +52,11 @@ func Policies() []PolicyName {
 }
 
 // PartitionMode names the partition policy of co-located machines: any
-// policy in the partition registry. The legacy mode constants below
-// remain the common choices; dispatch is entirely through the policy
-// interface, so a newly registered policy (e.g. utility) works in
-// fleet scenarios with no fleet-layer change.
+// name in the partition registry (default "biased", in its
+// foreground-protective form). Dispatch is entirely through the
+// policy's partition plan, so a newly registered policy works in fleet
+// scenarios with no fleet-layer change.
 type PartitionMode string
-
-const (
-	// PartShared leaves co-located machines unpartitioned.
-	PartShared PartitionMode = "shared"
-	// PartBiased gives the request the protective static split found
-	// by the exhaustive way search (the default). In the fleet the
-	// biased policy defaults to its foreground-protective rule
-	// (partition.PickForForeground) unless partition_params overrides.
-	PartBiased PartitionMode = "biased"
-	// PartDynamic attaches the §6 online controller to every
-	// co-location episode.
-	PartDynamic PartitionMode = "dynamic"
-	// PartUtility runs UCP-style utility partitioning per episode.
-	PartUtility PartitionMode = "utility"
-)
 
 // Fidelity selects the oracle's simulation tier: how the per-pair
 // co-location numbers the event loop consumes are obtained. The alone
@@ -179,7 +164,7 @@ func (d *Def) policies() []PolicyName {
 
 func (d *Def) partition() PartitionMode {
 	if d.Partition == "" {
-		return PartBiased
+		return "biased"
 	}
 	return d.Partition
 }
@@ -189,7 +174,7 @@ func (d *Def) partition() PartitionMode {
 // Figure 13 rule — unless partition_params picks another.
 func (d *Def) policy() (partition.Policy, error) {
 	params := d.PartitionParams
-	if d.partition() == PartBiased {
+	if d.partition() == "biased" {
 		// The fleet's biased default is the protective Figure 13 rule;
 		// inject it whenever the params block does not pick one itself
 		// (an empty or rule-less block must not silently flip to the

@@ -49,7 +49,7 @@ func TestFleetDynamicParallelismByteIdentical(t *testing.T) {
 	// episodes through the batch workers; their results must still be
 	// order-independent.
 	def := testDef()
-	def.Partition = PartDynamic
+	def.Partition = "dynamic"
 	var outs []string
 	for _, par := range []int{1, 8} {
 		r := sched.New(sched.Options{Scale: testScale, Parallelism: par})
@@ -130,7 +130,7 @@ func TestFleetSharedVsBiasedPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := *def
-	shared.Partition = PartShared
+	shared.Partition = "shared"
 	sharedRep, err := Run(r, "shared", &shared)
 	if err != nil {
 		t.Fatal(err)
@@ -246,7 +246,7 @@ func TestFleetRejectsExplicitPartition(t *testing.T) {
 // platform is known — never a mid-run panic after simulation work.
 func TestFleetBadPolicyParamsErrorNotPanic(t *testing.T) {
 	def := testDef()
-	def.Partition = PartUtility
+	def.Partition = "utility"
 	def.PartitionParams = []byte(`{"min_ways": 7}`)
 	if err := def.Validate(); err != nil {
 		t.Fatalf("Validate cannot know the geometry yet: %v", err)
@@ -264,7 +264,7 @@ func TestFleetBadPolicyParamsErrorNotPanic(t *testing.T) {
 func TestFleetBiasedRuleDefault(t *testing.T) {
 	for _, params := range []string{"", "{}"} {
 		def := testDef()
-		def.Partition = PartBiased
+		def.Partition = "biased"
 		if params != "" {
 			def.PartitionParams = []byte(params)
 		}
@@ -278,7 +278,7 @@ func TestFleetBiasedRuleDefault(t *testing.T) {
 		}
 	}
 	def := testDef()
-	def.Partition = PartBiased
+	def.Partition = "biased"
 	def.PartitionParams = []byte(`{"rule": "background"}`)
 	p, err := def.policy()
 	if err != nil {

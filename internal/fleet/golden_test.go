@@ -139,7 +139,7 @@ func TestFleetUtility50(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Fleet.Partition != fleet.PartUtility {
+	if s.Fleet.Partition != "utility" {
 		t.Fatalf("example declares partition %q, want utility", s.Fleet.Partition)
 	}
 	// One runner for both modes: the alone baselines simulate once.
@@ -149,7 +149,7 @@ func TestFleetUtility50(t *testing.T) {
 		t.Fatal(err)
 	}
 	sharedDef := *s.Fleet
-	sharedDef.Partition = fleet.PartShared
+	sharedDef.Partition = "shared"
 	shared, err := fleet.Run(r, s.Name+"-shared", &sharedDef)
 	if err != nil {
 		t.Fatal(err)

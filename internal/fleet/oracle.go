@@ -26,18 +26,17 @@ type pairPerf struct {
 	FgSeconds  float64 // request service time co-located
 	FgSlowdown float64 // FgSeconds / alone seconds
 	BgRate     float64 // batch iterations per second while co-located
-	FgWays     int     // protective split chosen (0 = unpartitioned)
 	SocketW    float64 // socket watts while co-running
 	WallW      float64
-	Reallocs   int // dynamic-controller reallocations per episode
+	Reallocs   int // online-policy reallocations per episode
 }
 
 // oracle holds every simulation-derived number the event loop needs.
 // It is built once per fleet run by fanning all required
 // single-machine simulations through the sched engine as one batch:
-// the way sweeps of the biased partition check, the alone baselines,
-// and (in dynamic mode) one controller-driven episode per pair. All
-// memoizable specs use the canonical mix shapes, so a fleet run
+// the alone baselines plus each co-location's partition-plan runs (the
+// biased way sweep, an online policy's episode, or a static split).
+// All memoizable specs use the canonical mix shapes, so a fleet run
 // deduplicates against pair/single runs any other driver has done.
 type oracle struct {
 	cfg      machine.Config
@@ -133,13 +132,11 @@ func (h halfMixes) aloneMix(app *workload.Profile) sched.MixSpec {
 	}
 }
 
-// pairMix is the §5 pair on the fleet's platform: the request on the
-// front cores, the batch occupant looping on the back cores, each
-// bounded to the given way range ([0,0) = full cache). The w-split
-// convention of the sweep — request in the low ways, occupant in the
-// high ways — is splitRanges. Identical to sched.PairSpec's mix on the
-// default platform.
-func (h halfMixes) pairMix(fg, bg *workload.Profile, fgR, bgR [2]int) sched.MixSpec {
+// pairMix is the §5 pair on the fleet's platform at the full cache:
+// the request on the front cores, the batch occupant looping on the
+// back cores — the mix each co-location's partition plan prices.
+// Identical to sched.PairSpec's mix on the default platform.
+func (h halfMixes) pairMix(fg, bg *workload.Profile) partition.Mix {
 	half := h.cfg.Cores / 2
 	frontCores := make([]int, half)
 	backCores := make([]int, half)
@@ -147,43 +144,18 @@ func (h halfMixes) pairMix(fg, bg *workload.Profile, fgR, bgR [2]int) sched.MixS
 		frontCores[i], backCores[i] = i, half+i
 	}
 	htPerHalf := half * h.cfg.ThreadsPerCore
-	return sched.MixSpec{
-		Jobs: []sched.MixJob{
-			{App: fg, Threads: sched.CapThreads(fg, htPerHalf),
-				Slots: h.cfg.SlotsForCores(frontCores...), Seed: "fg",
-				WayFirst: fgR[0], WayLim: fgR[1]},
-			{App: bg, Threads: sched.CapThreads(bg, htPerHalf),
-				Slots: h.cfg.SlotsForCores(backCores...), Background: true,
-				Seed: "bg", WayFirst: bgR[0], WayLim: bgR[1]},
+	return partition.Mix{
+		Spec: sched.MixSpec{
+			Jobs: []sched.MixJob{
+				{App: fg, Threads: sched.CapThreads(fg, htPerHalf),
+					Slots: h.cfg.SlotsForCores(frontCores...), Seed: "fg"},
+				{App: bg, Threads: sched.CapThreads(bg, htPerHalf),
+					Slots: h.cfg.SlotsForCores(backCores...), Background: true, Seed: "bg"},
+			},
+			Machine: h.machine(),
 		},
-		Machine: h.machine(),
+		Latency: []bool{true, false},
 	}
-}
-
-// splitRanges is the sweep convention: request ways [0, w), occupant
-// ways [w, assoc); w == 0 leaves the cache fully shared.
-func splitRanges(w, assoc int) (fgR, bgR [2]int) {
-	if w > 0 {
-		fgR = [2]int{0, w}
-		bgR = [2]int{w, assoc}
-	}
-	return fgR, bgR
-}
-
-// onlinePairMix is a co-location episode under an online policy: the
-// shared-cache pair with the policy's decision loop attached, keyed by
-// the policy's RunKey so episodes memoize and disk-cache without
-// aliasing across policies.
-func (h halfMixes) onlinePairMix(fg, bg *workload.Profile, pol partition.Policy, interval float64) sched.MixSpec {
-	mix := h.pairMix(fg, bg, [2]int{}, [2]int{})
-	mix.Setup = func(m *machine.Machine, jobs []*machine.Job) {
-		partition.AttachLoop(m, []partition.LoopJob{
-			{Job: jobs[0], Cores: jobs[0].Cores(), App: fg.Name, Latency: true},
-			{Job: jobs[1], Cores: jobs[1].Cores(), App: bg.Name},
-		}, pol, interval)
-	}
-	mix.PolicyKey = partition.RunKey(pol, interval, []bool{true, false})
-	return mix
 }
 
 // buildOracle plans and executes every simulation the fleet run needs
@@ -238,9 +210,8 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 	// Every oracle prices each request app beside each batch app.
 	npairs := len(fgs) * (len(bgs) + len(evBgs))
 
-	// One batch: alone baselines for every app, then per (fg, bg) pair
-	// either the full way sweep (biased), the shared co-run, or one
-	// controller-driven episode (dynamic).
+	// One batch: alone baselines for every app, then each (fg, bg)
+	// pair's partition-plan runs.
 	var specs []sched.Spec
 	aloneAt := map[string]int{}
 	for _, name := range fgs {
@@ -255,12 +226,10 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 		specs = append(specs, h.aloneMix(apps[name]))
 	}
 
-	// Per (fg, bg) pair, the specs the fleet's partition policy needs:
-	// a Searcher sweeps every uneven split, an online policy runs one
-	// loop-attached episode, and an offline policy runs the single
-	// static split its Decide picks for the pair shape. All dispatch is
-	// through the policy interface — a newly registered policy needs no
-	// fleet change.
+	// Per (fg, bg) pair, one partition plan prices the fleet's policy:
+	// its specs for the exact tier, its prediction for the analytic
+	// ones. All dispatch is in the plan — a newly registered policy
+	// needs no fleet change.
 	pol, err := d.policy()
 	if err != nil {
 		return nil, err
@@ -268,13 +237,23 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 	if err := d.checkEpisodeShape(pol, assoc); err != nil {
 		return nil, err
 	}
-	searcher, _ := pol.(partition.Searcher)
+	allBgs := append(append([]string{}, bgs...), evBgs...)
+	plans := make([]*partition.Plan, len(o.pair)) // by slot
+	for _, fg := range fgs {
+		for _, bg := range allBgs {
+			plan, err := partition.NewPlan(pol, h.pairMix(apps[fg], apps[bg]), cfg, r.Scale())
+			if err != nil {
+				return nil, fmt.Errorf("fleet: partition mode %s: %w", d.partition(), err)
+			}
+			plans[o.slot(fg, bg)] = plan
+		}
+	}
 
 	if fid := d.fidelity(); fid != FidelityExact {
 		// The analytic tiers replace the per-pair simulations with MRC
 		// predictions (re-simulating borderline pairs under auto); the
 		// alone baselines stay exact in every tier.
-		if err := o.buildFast(r, d, h, pol, searcher, fgs, append(append([]string{}, bgs...), evBgs...), apps, assoc, fid, osp.ID()); err != nil {
+		if err := o.buildFast(r, d, h, plans, fgs, allBgs, apps, fid, osp.ID()); err != nil {
 			return nil, err
 		}
 		osp.End(obs.Int("alone", len(o.names)), obs.Int("pairs", npairs))
@@ -285,7 +264,7 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 	for _, fg := range fgs {
 		for _, bg := range bgs {
 			pairAt[o.slot(fg, bg)] = len(specs)
-			specs = append(specs, pairSpecs(r, h, apps[fg], apps[bg], pol, searcher, assoc)...)
+			specs = append(specs, plans[o.slot(fg, bg)].Specs()...)
 		}
 	}
 
@@ -304,7 +283,7 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 	for _, fg := range fgs {
 		for _, bg := range bgs {
 			k := o.slot(fg, bg)
-			o.pair[k] = harvestPair(results, pairAt[k], pol, searcher, assoc, o.aloneOf(fg).Seconds)
+			o.pair[k] = exactPerf(plans[k], results[pairAt[k]:], o.aloneOf(fg).Seconds)
 		}
 	}
 
@@ -326,7 +305,7 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 		for _, fg := range fgs {
 			for _, bg := range evBgs {
 				evPairAt[o.slot(fg, bg)] = len(rspecs)
-				rspecs = append(rspecs, pairSpecs(r, h, apps[fg], apps[bg], pol, searcher, assoc)...)
+				rspecs = append(rspecs, plans[o.slot(fg, bg)].Specs()...)
 			}
 		}
 		rresults := r.RunBatchIn(sched.BatchInfo{Span: osp.ID(), Phase: "replace"}, rspecs)
@@ -340,7 +319,7 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 		for _, fg := range fgs {
 			for _, bg := range evBgs {
 				k := o.slot(fg, bg)
-				o.pair[k] = harvestPair(rresults, evPairAt[k], pol, searcher, assoc, o.aloneOf(fg).Seconds)
+				o.pair[k] = exactPerf(plans[k], rresults[evPairAt[k]:], o.aloneOf(fg).Seconds)
 			}
 		}
 	}
@@ -348,77 +327,18 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 	return o, nil
 }
 
-// pairSpecs returns the simulations one (fg, bg) co-location needs
-// under the partition policy: a Searcher sweeps every uneven split, an
-// online policy runs one loop-attached episode, and an offline policy
-// runs the single static split its Decide picks for the pair shape.
-// All dispatch is through the policy interface — a newly registered
-// policy needs no fleet change.
-func pairSpecs(r *sched.Runner, h halfMixes, fg, bg *workload.Profile, pol partition.Policy, searcher partition.Searcher, assoc int) []sched.Spec {
-	switch {
-	case searcher != nil:
-		out := make([]sched.Spec, 0, assoc-1)
-		for w := 1; w < assoc; w++ {
-			fgR, bgR := splitRanges(w, assoc)
-			out = append(out, h.pairMix(fg, bg, fgR, bgR))
-		}
-		return out
-	case pol.Online():
-		interval := partition.SamplingInterval(fg, r.Scale())
-		return []sched.Spec{h.onlinePairMix(fg, bg, pol, interval)}
-	default:
-		fgW, bgW := partition.PairWays(pol, assoc)
-		fgR, bgR := [2]int{}, [2]int{}
-		if fgW > 0 || bgW > 0 {
-			fgR = [2]int{0, fgW}
-			bgR = [2]int{assoc - bgW, assoc}
-		}
-		return []sched.Spec{h.pairMix(fg, bg, fgR, bgR)}
-	}
-}
-
-// harvestPair reads one pair's pairPerf out of the batch results,
-// starting at the pair's first spec index.
-func harvestPair(results []*machine.Result, at int, pol partition.Policy, searcher partition.Searcher, assoc int, fgAlone float64) pairPerf {
-	var res *machine.Result
-	var fgWays, reallocs int
-	switch {
-	case searcher != nil:
-		// The policy's selection rule over the measured sweep;
-		// the fleet default is the protective Figure 13 rule
-		// (minimum request degradation, ties toward the larger
-		// request share).
-		cands := make([]partition.Candidate, assoc-1)
-		for w := 1; w < assoc; w++ {
-			sw := results[at+w-1]
-			cands[w-1] = partition.Candidate{
-				FgWays:       w,
-				FgSlowdown:   sw.Jobs[0].Seconds / fgAlone,
-				BgThroughput: sw.Jobs[1].Iterations,
-			}
-		}
-		fgWays = cands[searcher.Pick(cands)].FgWays
-		res = results[at+fgWays-1]
-	case pol.Online():
-		res = results[at]
-		if tr := res.Partition; tr != nil {
-			reallocs = tr.Reallocations
-			if len(tr.FinalWays) > 0 {
-				fgWays = tr.FinalWays[0]
-			}
-		}
-	default:
-		res = results[at]
-		fgWays, _ = partition.PairWays(pol, assoc)
-	}
+// exactPerf harvests one co-location's pairPerf from its plan's
+// results (the slice starting at the pair's first spec).
+func exactPerf(plan *partition.Plan, results []*machine.Result, fgAlone float64) pairPerf {
+	out := plan.Harvest(results, fgAlone)
+	res := out.Main
 	return pairPerf{
 		FgSeconds:  res.Jobs[0].Seconds,
 		FgSlowdown: res.Jobs[0].Seconds / fgAlone,
 		BgRate:     rate(res.Jobs[1].Iterations, res.WindowSeconds),
-		FgWays:     fgWays,
 		SocketW:    watts(res.Energy.SocketJoules, res.WindowSeconds),
 		WallW:      watts(res.Energy.WallJoules, res.WindowSeconds),
-		Reallocs:   reallocs,
+		Reallocs:   out.Reallocations,
 	}
 }
 

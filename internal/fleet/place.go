@@ -340,7 +340,7 @@ func (s *sim) batchMachine(now float64) int {
 		}
 		return x.lru.min()
 	case PackPartition:
-		// Consolidate onto machines the fleet is already paying for;
+		// Pack onto machines the fleet is already paying for;
 		// open a fresh one only when none has a free slot.
 		n := len(s.machines)
 		if mi := first(n, func(w int) uint64 { return x.idle[w] & x.noBg[w] & x.used[w] }); mi >= 0 {

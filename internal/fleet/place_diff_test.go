@@ -48,11 +48,11 @@ func TestPlacementMatchesScan(t *testing.T) {
 				t.Fatal(err)
 			}
 			add(s.Name, s.Fleet)
-			if s.Fleet.Partition == fleet.PartUtility {
+			if s.Fleet.Partition == "utility" {
 				// Unpartitioned, the utility example's co-locations fail
 				// the check: the rejection path.
 				shared := *s.Fleet
-				shared.Partition = fleet.PartShared
+				shared.Partition = "shared"
 				add(s.Name+"/shared", &shared)
 			}
 		}
@@ -138,7 +138,7 @@ func synthetic10k(t *testing.T) *fleet.Def {
 		Duration:      0.04,
 		Seed:          "diff-10k",
 		Fidelity:      fleet.FidelityFast,
-		Partition:     fleet.PartShared,
+		Partition:     "shared",
 		SlowdownLimit: 1.02,
 		BatchWidth:    600,
 		Hysteresis:    hold,

@@ -110,7 +110,7 @@ func TestPolicyParallelEpisodePhase(t *testing.T) {
 // same error from the concurrent path as from the serial one.
 func TestPolicyParallelError(t *testing.T) {
 	def := testDef()
-	def.Partition = PartUtility
+	def.Partition = "utility"
 	def.PartitionParams = []byte(`{"min_ways": 7}`) // rejected once the geometry is known
 	var msgs []string
 	for _, pp := range []int{1, 8} {

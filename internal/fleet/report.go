@@ -371,7 +371,7 @@ func (r *Report) String() string {
 	}
 	if pol, err := r.Def.policy(); err == nil && pol.Online() {
 		label := string(r.Def.partition()) + " policy"
-		if r.Def.partition() == PartDynamic {
+		if r.Def.partition() == "dynamic" {
 			label = "dynamic controller"
 		}
 		for _, pr := range r.Results {

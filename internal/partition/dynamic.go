@@ -5,17 +5,15 @@ import (
 	"strconv"
 
 	"repro/internal/cache"
-	"repro/internal/machine"
-	"repro/internal/perfmon"
 	"repro/internal/workload"
 )
 
 // SamplingInterval sizes the decision loop's sampling period the way
 // the paper's 100 ms relates to its multi-minute runs: a fixed number
-// of decision intervals per foreground execution. Every caller that
-// attaches an online policy (experiment drivers, the core API,
-// scenario runs, fleet episodes) derives the interval from this one
-// rule so their runs are directly comparable.
+// of decision intervals per foreground execution. Every online plan
+// (scenario runs, fleet episodes, the pair CLI, experiment drivers)
+// derives its interval from this one rule, so their runs are directly
+// comparable.
 func SamplingInterval(fg *workload.Profile, scale float64) float64 {
 	const intervalsPerRun = 500
 	estSeconds := fg.Instructions * scale * 1.5 / 3.4e9
@@ -32,11 +30,6 @@ func SamplingInterval(fg *workload.Profile, scale float64) float64 {
 // identical, and the paper reports results are "largely insensitive to
 // small parameter changes".
 type ControllerConfig struct {
-	// IntervalSeconds is the sampling period in simulated time. The
-	// caller picks it proportional to the expected run length the same
-	// way 100 ms relates to the paper's multi-minute runs.
-	IntervalSeconds float64
-
 	// THR1: relative MPKI change that signals a phase change beginning.
 	THR1 float64
 	// THR2: relative MPKI change below which the new phase has settled.
@@ -63,7 +56,7 @@ type ControllerConfig struct {
 }
 
 // DefaultControllerConfig returns the thresholds used throughout the
-// evaluation. IntervalSeconds must still be set by the caller.
+// evaluation.
 func DefaultControllerConfig() ControllerConfig {
 	return ControllerConfig{
 		THR1:           0.25,
@@ -340,44 +333,3 @@ func minInt(a, b int) int {
 	}
 	return b
 }
-
-// Controller is the dynamic policy's legacy handle: Attach/AttachCores
-// install the policy through the shared decision loop and return one,
-// exposing the live allocation, the reallocation count, and the MPKI
-// time series behind Figure 12.
-type Controller struct {
-	loop *Loop
-}
-
-// Attach installs the §6 controller on a machine before Run: it
-// registers the decision loop and applies the initial allocation
-// (foreground maximal, background the remainder).
-func Attach(m *machine.Machine, fg, bg *machine.Job, cfg ControllerConfig) *Controller {
-	return AttachCores(m, fg, bg.Cores(), cfg)
-}
-
-// AttachCores is Attach for multiple background peers: all listed cores
-// share the background partition and contend within it, the §6.3
-// multi-peer extension.
-func AttachCores(m *machine.Machine, fg *machine.Job, bgCores []int, cfg ControllerConfig) *Controller {
-	if cfg.IntervalSeconds <= 0 {
-		panic("partition: controller needs a positive sampling interval")
-	}
-	jobs := []LoopJob{
-		{Job: fg, Cores: fg.Cores(), Latency: true, App: fg.Name()},
-		{Cores: bgCores},
-	}
-	loop := AttachLoop(m, jobs, dynamicPolicy{cfg: cfg}, cfg.IntervalSeconds)
-	return &Controller{loop: loop}
-}
-
-// FgWays returns the current foreground allocation in ways.
-func (c *Controller) FgWays() int { return c.loop.WaysOf(c.loop.Monitored()) }
-
-// Reallocations returns how many times the controller changed the
-// allocation (a measure of its overhead).
-func (c *Controller) Reallocations() int { return c.loop.Reallocations() }
-
-// Samples returns the recorded MPKI/allocation time series (Figure 12's
-// "Dynamic" trace).
-func (c *Controller) Samples() []perfmon.Sample { return c.loop.Samples() }

@@ -8,30 +8,12 @@ import (
 	"repro/internal/workload"
 )
 
-// attachController runs fg+bg with the dynamic controller installed and
-// returns the controller and run result.
-func attachController(t *testing.T, fgName, bgName string, scale float64) (*Controller, *machine.Result) {
+// attachController runs fg+bg with the registered dynamic policy's
+// decision loop attached and returns the loop and run result.
+func attachController(t *testing.T, fgName, bgName string, scale float64) (*Loop, *machine.Result) {
 	t.Helper()
 	r := sched.New(sched.Options{Scale: scale})
-	fg := workload.MustByName(fgName)
-	bg := workload.MustByName(bgName)
-	var ctl *Controller
-	res := r.RunPair(sched.PairSpec{
-		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
-		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-			cfg := DefaultControllerConfig()
-			// ~500 decision intervals over the foreground run, the same
-			// ratio as 100 ms on the paper's multi-minute executions.
-			cfg.IntervalSeconds = estimateRunSeconds(fg, scale) / 500
-			ctl = Attach(m, fgJob, bgJob, cfg)
-		},
-	})
-	return ctl, res
-}
-
-// estimateRunSeconds gives a rough fg duration for interval sizing.
-func estimateRunSeconds(p *workload.Profile, scale float64) float64 {
-	return p.Instructions * scale * 1.5 / 3.4e9 // ~1.5 CPI guess
+	return attachControllerPair(t, r, workload.MustByName(fgName), workload.MustByName(bgName))
 }
 
 func TestControllerRunsAndStaysInBounds(t *testing.T) {
@@ -94,18 +76,21 @@ func TestControllerPreservesForegroundPerformance(t *testing.T) {
 	}
 }
 
-func attachControllerPair(t *testing.T, r *sched.Runner, fg, bg *workload.Profile) (*Controller, *machine.Result) {
+// attachControllerPair is attachController on a given runner. The
+// sampling interval is the engine-wide rule: ~500 decision intervals
+// over the foreground run, the same ratio as 100 ms on the paper's
+// multi-minute executions.
+func attachControllerPair(t *testing.T, r *sched.Runner, fg, bg *workload.Profile) (*Loop, *machine.Result) {
 	t.Helper()
-	var ctl *Controller
+	var loop *Loop
 	res := r.RunPair(sched.PairSpec{
 		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
 		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-			cfg := DefaultControllerConfig()
-			cfg.IntervalSeconds = estimateRunSeconds(fg, r.Scale()) / 500
-			ctl = Attach(m, fgJob, bgJob, cfg)
+			loop = AttachLoop(m, []LoopJob{{Job: fgJob, Latency: true}, {Job: bgJob}},
+				MustNew("dynamic", nil), SamplingInterval(fg, r.Scale()))
 		},
 	})
-	return ctl, res
+	return loop, res
 }
 
 func TestAttachValidation(t *testing.T) {
@@ -120,7 +105,8 @@ func TestAttachValidation(t *testing.T) {
 	r.RunPair(sched.PairSpec{
 		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
 		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-			Attach(m, fgJob, bgJob, DefaultControllerConfig()) // no interval
+			AttachLoop(m, []LoopJob{{Job: fgJob, Latency: true}, {Job: bgJob}},
+				MustNew("dynamic", nil), 0) // no interval
 		},
 	})
 }

@@ -6,16 +6,10 @@ import (
 	"repro/internal/perfmon"
 )
 
-// LoopJob is one job group of the decision loop: the cores whose LLC
-// masks a policy decision applies to, plus the job handle counters are
-// read from. Job may be nil for a bare core group (the legacy
-// AttachCores shape, where several background peers share one
-// partition): such groups still receive masks but contribute no
-// counter readings.
+// LoopJob is one job of the decision loop: the job whose cores a
+// policy decision's mask applies to and whose counters it reads.
 type LoopJob struct {
 	Job     *machine.Job
-	Cores   []int
-	App     string
 	Latency bool
 	// Declared is the job's declared way range, if any (explicit
 	// policy input; offline use only).
@@ -32,7 +26,7 @@ type Loop struct {
 	m     *machine.Machine
 	pol   Policy
 	jobs  []LoopJob
-	es    []*perfmon.EventSet   // nil entries for bare core groups
+	es    []*perfmon.EventSet
 	util  []*perfmon.UtilitySet // nil unless the policy consumes utility curves
 	cur   []cache.WayMask       // applied masks (0 = full cache)
 	mon   int                   // monitored (latency) job index, -1 if none
@@ -71,25 +65,21 @@ func AttachLoop(m *machine.Machine, jobs []LoopJob, pol Policy, intervalSeconds 
 			l.mon = i
 			lat++
 		}
-		if jobs[i].Job != nil {
-			l.es[i] = perfmon.Open(m, jobs[i].Job)
-		}
+		l.es[i] = perfmon.Open(m, jobs[i].Job)
 	}
 	if lat != 1 {
 		l.mon = -1
 	}
 	if uc, ok := l.pol.(UtilityConsumer); ok {
 		for i := range jobs {
-			if jobs[i].Job != nil {
-				l.util[i] = perfmon.OpenUtility(m, jobs[i].Job, uc.UMONSampleShift())
-			}
+			l.util[i] = perfmon.OpenUtility(m, jobs[i].Job, uc.UMONSampleShift())
 		}
 	}
 
 	l.snap = Snapshot{Assoc: assoc, Jobs: make([]JobView, len(jobs))}
 	for i := range jobs {
 		l.snap.Jobs[i] = JobView{
-			App: jobs[i].App, Latency: jobs[i].Latency,
+			App: jobs[i].Job.Name(), Latency: jobs[i].Latency,
 			Declared: jobs[i].Declared, Ways: assoc,
 		}
 	}
@@ -120,7 +110,7 @@ func (l *Loop) apply(masks []cache.WayMask) {
 		if eff == 0 {
 			eff = full
 		}
-		for _, c := range l.jobs[i].Cores {
+		for _, c := range l.jobs[i].Job.Cores() {
 			l.m.Hierarchy().SetWayMask(c, eff)
 		}
 		l.cur[i] = mk
@@ -132,16 +122,11 @@ func (l *Loop) apply(masks []cache.WayMask) {
 }
 
 // tick runs one sampling interval: read every job's interval counters
-// (references always advance, matching the legacy controller), skip
-// idle intervals, record the monitored job's sample, and apply the
-// policy's decision.
+// (references always advance), skip idle intervals, record the
+// monitored job's sample, and apply the policy's decision.
 func (l *Loop) tick(now float64) {
 	for i := range l.jobs {
-		if l.es[i] != nil {
-			l.deltas[i] = l.es[i].ReadInterval()
-		} else {
-			l.deltas[i] = machine.JobCounters{}
-		}
+		l.deltas[i] = l.es[i].ReadInterval()
 	}
 	if l.mon >= 0 {
 		if l.deltas[l.mon].Instructions <= 0 {
@@ -189,7 +174,7 @@ func (l *Loop) trace() *machine.PartitionTrace {
 	}
 }
 
-// WaysOf returns group i's current allocation in ways (the full
+// WaysOf returns job i's current allocation in ways (the full
 // associativity when unrestricted).
 func (l *Loop) WaysOf(i int) int {
 	if l.cur[i] == 0 {
@@ -197,9 +182,6 @@ func (l *Loop) WaysOf(i int) int {
 	}
 	return l.cur[i].Count()
 }
-
-// Monitored returns the latency job's group index, or -1.
-func (l *Loop) Monitored() int { return l.mon }
 
 // Reallocations returns how many decision points changed the applied
 // allocation (including the initial grant when it differed from the

@@ -60,28 +60,39 @@ func TestPickBiasedCriterion(t *testing.T) {
 	}
 }
 
-// TestBestBiasedJobList: the search over a foreground plus two peers
-// must run the §6.3 multi shape and return a sane split.
+// TestBestBiasedJobList: the biased plan over a foreground plus two
+// peers (the §6.3 multi-peer shape as a mix) sweeps every
+// latency-vs-rest split, the peers sharing the high ways, and returns
+// a sane split.
 func TestBestBiasedJobList(t *testing.T) {
 	r := sched.New(sched.Options{Scale: 3e-4})
+	cfg := r.MachineConfig()
 	fg := workload.MustByName("429.mcf")
 	bg := workload.MustByName("ferret")
-
-	ch := BestBiased(r, fg, bg, bg)
-	if ch.FgWays < 1 || ch.FgWays > 11 || ch.FgWays+ch.BgWays != 12 {
-		t.Fatalf("choice: %+v", ch)
+	mix := sched.MixSpec{Jobs: []sched.MixJob{
+		{App: fg, Threads: 4, Slots: cfg.SlotsForCores(0, 1), Seed: "fg"},
+		{App: bg, Threads: 2, Slots: cfg.SlotsForCores(2), Background: true, Seed: "bg0"},
+		{App: bg, Threads: 2, Slots: cfg.SlotsForCores(3), Background: true, Seed: "bg1"},
+	}}
+	plan, err := NewPlan(MustNew("biased", nil), Mix{Spec: mix, Latency: []bool{true, false, false}}, cfg, r.Scale())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ch.BgThroughput <= 0 {
-		t.Fatalf("no background progress: %+v", ch)
+	specs := plan.Specs()
+	if len(specs) != 11 {
+		t.Fatalf("%d search specs, want 11 splits", len(specs))
 	}
-
-	// The sweep batches 11 multi splits + 1 baseline; each distinct
-	// config simulates exactly once.
-	specs := SearchSpecs(12, fg, bg, bg)
-	if len(specs) != 12 {
-		t.Fatalf("%d search specs", len(specs))
+	alone := r.AloneHalf(fg).Jobs[0].Seconds
+	out := plan.Harvest(r.RunBatch(specs), alone)
+	w := out.LatencyWays
+	if w < 1 || w > 11 {
+		t.Fatalf("choice: %d ways", w)
 	}
-	if _, ok := specs[1].(sched.MultiSpec); !ok {
-		t.Fatalf("multi-peer search built %T, want MultiSpec", specs[1])
+	want := [][2]int{{0, w}, {w, 12}, {w, 12}}
+	if !reflect.DeepEqual(out.Ranges, want) {
+		t.Fatalf("ranges %v, want %v", out.Ranges, want)
+	}
+	if out.Main.Jobs[1].Iterations+out.Main.Jobs[2].Iterations <= 0 {
+		t.Fatalf("no background progress: %+v", out.Main.Jobs)
 	}
 }

@@ -4,9 +4,10 @@
 // the shared online decision loop every monitoring policy runs under,
 // the §5.2 exhaustive biased search, and the §6 dynamic controller
 // (phase detection, Algorithm 6.1, and way reallocation, Algorithm
-// 6.2). The scenario, fleet, experiment, and core layers all dispatch
-// through the registry, so adding a policy is one file in this package
-// plus a Register call — no run-layer edits.
+// 6.2). Every layer — scenario runs, fleet oracles, experiment drivers,
+// the pair CLI — prices a policy on a job mix through one Plan, so
+// adding a policy is one file in this package plus a Register call —
+// no run-layer edits.
 package partition
 
 import (
@@ -38,36 +39,36 @@ type BiasedChoice struct {
 // background-friendly (hiding the gains Figures 9/13 report).
 const slowdownTieEps = 0.002
 
-// SearchSpecs lists every run the exhaustive biased search for a job
-// list needs — the foreground-alone baseline plus each uneven split —
-// so experiment drivers can batch the searches of many mixes up front.
-// One background peer is the §5.2 pair shape; several peers share the
-// background partition and contend within it (§6.3).
-func SearchSpecs(assoc int, fg *workload.Profile, bgs ...*workload.Profile) []sched.Spec {
-	if len(bgs) == 0 {
-		panic("partition: biased search needs at least one background job")
-	}
-	specs := []sched.Spec{sched.AloneHalfSpec(fg)}
-	for w := 1; w < assoc; w++ {
-		specs = append(specs, splitSpec(assoc, fg, bgs, w))
-	}
-	return specs
+// PairPlan prices pol on the §5 pair: fg on cores 0-1 as the latency
+// job beside bg looping on cores 2-3 (sched.PairSpec's placement and
+// seeds), on the given platform.
+func PairPlan(pol Policy, cfg machine.Config, scale float64, fg, bg *workload.Profile) (*Plan, error) {
+	pair := sched.PairSpec{Fg: fg, Bg: bg, Mode: sched.BackgroundLoop}
+	return NewPlan(pol, Mix{Spec: pair.Mix(cfg), Latency: []bool{true, false}}, cfg, scale)
 }
 
-// splitSpec builds the co-run of one candidate split: foreground w
-// ways, every background peer sharing the remaining assoc-w.
-func splitSpec(assoc int, fg *workload.Profile, bgs []*workload.Profile, w int) sched.Spec {
-	if len(bgs) == 1 {
-		return sched.PairSpec{Fg: fg, Bg: bgs[0],
-			FgWays: w, BgWays: assoc - w, Mode: sched.BackgroundLoop}
+// searchPlan is the biased search's plan for a pair; the pair shape
+// always satisfies a search policy's one-latency-job rule.
+func searchPlan(s Searcher, cfg machine.Config, fg, bg *workload.Profile) *Plan {
+	plan, err := PairPlan(s, cfg, 0, fg, bg)
+	if err != nil {
+		panic(err.Error())
 	}
-	return sched.MultiSpec{Fg: fg, Bgs: bgs, FgWays: w, BgWays: assoc - w}
+	return plan
 }
 
-// Candidate is one allocation's measured outcome in a biased search.
-// The scenario layer builds candidates from arbitrary job mixes and
-// reuses the same selection rules through PickBiased and
-// PickForForeground.
+// SearchSpecs lists every run the exhaustive biased search for a pair
+// needs on the given platform — the foreground-alone baseline plus each
+// uneven split — so experiment drivers can batch the searches of many
+// pairs up front.
+func SearchSpecs(cfg machine.Config, fg, bg *workload.Profile) []sched.Spec {
+	return append([]sched.Spec{sched.AloneHalfSpec(fg)}, searchPlan(biasedPolicy{}, cfg, fg, bg).Specs()...)
+}
+
+// Candidate is one allocation's measured (or, on the fast tier,
+// predicted) outcome in a biased search; a Searcher's Pick selects
+// among them, through PickBiased or PickForForeground for the
+// registered biased policy.
 type Candidate struct {
 	FgWays       int
 	FgSlowdown   float64 // foreground time / foreground-alone time
@@ -119,51 +120,29 @@ func PickForForeground(cands []Candidate) int {
 	return best
 }
 
-// searchCandidates runs a job list's full split sweep as one batch and
-// returns the per-split candidates.
-func searchCandidates(r *sched.Runner, assoc int, fg *workload.Profile, bgs []*workload.Profile) []Candidate {
-	results := r.RunBatch(SearchSpecs(assoc, fg, bgs...))
-	fgAlone := results[0].JobByName(fg.Name).Seconds
-
-	cands := make([]Candidate, 0, assoc-1)
-	for w := 1; w < assoc; w++ {
-		res := results[w]
-		var thru float64
-		for _, j := range res.Jobs {
-			if j.Background {
-				thru += j.Iterations
-			}
-		}
-		cands = append(cands, Candidate{
-			FgWays:       w,
-			FgSlowdown:   res.JobByName(fg.Name).Seconds / fgAlone,
-			BgThroughput: thru,
-		})
-	}
-	return cands
-}
-
-// BestSplit exhaustively evaluates every uneven split (foreground gets
-// w ways, the background peers share the remaining assoc-w, for w in
-// [1, assoc-1]) with the backgrounds running continuously, and returns
+// BestSplit exhaustively evaluates every uneven split of the runner's
+// LLC (foreground w ways, background the remaining assoc-w, for w in
+// [1, assoc-1]) with the background running continuously, and returns
 // the choice the searcher's selection rule picks. The splits run as
 // one batch across the engine's workers.
-func BestSplit(r *sched.Runner, s Searcher, fg *workload.Profile, bgs ...*workload.Profile) BiasedChoice {
-	assoc := llcAssoc(r)
-	cands := searchCandidates(r, assoc, fg, bgs)
-	ch := cands[s.Pick(cands)]
+func BestSplit(r *sched.Runner, s Searcher, fg, bg *workload.Profile) BiasedChoice {
+	cfg := r.MachineConfig()
+	plan := searchPlan(s, cfg, fg, bg)
+	results := r.RunBatch(append([]sched.Spec{sched.AloneHalfSpec(fg)}, plan.Specs()...))
+	alone := results[0].Jobs[0].Seconds
+	out := plan.Harvest(results[1:], alone)
 	return BiasedChoice{
-		FgWays:       ch.FgWays,
-		BgWays:       assoc - ch.FgWays,
-		FgSlowdown:   ch.FgSlowdown,
-		BgThroughput: ch.BgThroughput,
+		FgWays:       out.LatencyWays,
+		BgWays:       cfg.Hier.LLC.Assoc - out.LatencyWays,
+		FgSlowdown:   out.Main.Jobs[0].Seconds / alone,
+		BgThroughput: out.Main.Jobs[1].Iterations,
 	}
 }
 
 // BestBiased is BestSplit under the default biased rule (§5.2: minimum
 // foreground degradation, ties broken by background throughput).
-func BestBiased(r *sched.Runner, fg *workload.Profile, bgs ...*workload.Profile) BiasedChoice {
-	return BestSplit(r, biasedPolicy{}, fg, bgs...)
+func BestBiased(r *sched.Runner, fg, bg *workload.Profile) BiasedChoice {
+	return BestSplit(r, biasedPolicy{}, fg, bg)
 }
 
 // BestForForeground returns the static allocation that is best for the
@@ -172,8 +151,8 @@ func BestBiased(r *sched.Runner, fg *workload.Profile, bgs ...*workload.Profile)
 // Figure 13 baseline ("the best static cache allocation for the
 // foreground application"), distinct from BestBiased's background-aware
 // tie-break used in Figure 9.
-func BestForForeground(r *sched.Runner, fg *workload.Profile, bgs ...*workload.Profile) BiasedChoice {
-	return BestSplit(r, biasedPolicy{protective: true}, fg, bgs...)
+func BestForForeground(r *sched.Runner, fg, bg *workload.Profile) BiasedChoice {
+	return BestSplit(r, biasedPolicy{protective: true}, fg, bg)
 }
 
 // SplitWays divides assoc ways into n contiguous disjoint shares, the
@@ -196,10 +175,4 @@ func SplitWays(assoc, n int) [][2]int {
 		first += w
 	}
 	return out
-}
-
-func llcAssoc(r *sched.Runner) int {
-	// All experiments share the default platform geometry; keep a single
-	// source of truth by asking a machine config.
-	return machine.Default().Hier.LLC.Assoc
 }

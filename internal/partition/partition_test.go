@@ -1,8 +1,10 @@
 package partition
 
 import (
+	"reflect"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -19,12 +21,22 @@ func TestPolicyNames(t *testing.T) {
 	}
 }
 
+// TestPairWays: an offline plan on the pair shape carries its static
+// split as way ranges — shared leaves the cache whole, fair halves it.
 func TestPairWays(t *testing.T) {
-	if f, b := PairWays(MustNew("shared", nil), 12); f != 0 || b != 0 {
-		t.Fatalf("shared ways = %d,%d", f, b)
-	}
-	if f, b := PairWays(MustNew("fair", nil), 12); f != 6 || b != 6 {
-		t.Fatalf("fair ways = %d,%d", f, b)
+	cfg := machine.Default()
+	fg, bg := workload.MustByName("fop"), workload.MustByName("dedup")
+	for name, want := range map[string][][2]int{
+		"shared": {{0, 0}, {0, 0}},
+		"fair":   {{0, 6}, {6, 12}},
+	} {
+		plan, err := PairPlan(MustNew(name, nil), cfg, 0, fg, bg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := plan.Ranges(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s ranges = %v, want %v", name, got, want)
+		}
 	}
 }
 
@@ -57,5 +69,98 @@ func TestBestBiasedSearch(t *testing.T) {
 		Mode: sched.BackgroundLoop}).JobByName(fg.Name).Seconds / fgAlone
 	if ch.FgSlowdown > fair*1.02 {
 		t.Fatalf("biased slowdown %v worse than fair %v", ch.FgSlowdown, fair)
+	}
+}
+
+// TestBestBiasedSmallLLC: the search sweeps the runner's own LLC. On
+// the small-LLC ablation platform (2 MB, 8 ways) the chosen split lies
+// in [1,7] and is the searcher's Pick over that runner's sweep.
+func TestBestBiasedSmallLLC(t *testing.T) {
+	cfg := machine.Default()
+	cfg.Hier.LLC.SizeBytes = 2 << 20
+	cfg.Hier.LLC.Assoc = 8
+	r := sched.New(sched.Options{Machine: &cfg, Scale: 3e-4})
+	fg := workload.MustByName("429.mcf")
+	bg := workload.MustByName("ferret")
+
+	ch := BestBiased(r, fg, bg)
+	if ch.FgWays < 1 || ch.FgWays > 7 || ch.FgWays+ch.BgWays != 8 {
+		t.Fatalf("split %d+%d on an 8-way LLC", ch.FgWays, ch.BgWays)
+	}
+
+	specs := SearchSpecs(cfg, fg, bg)
+	if len(specs) != 8 {
+		t.Fatalf("%d search specs, want the baseline plus 7 splits", len(specs))
+	}
+	results := r.RunBatch(specs)
+	alone := results[0].Jobs[0].Seconds
+	var cands []Candidate
+	for w := 1; w < 8; w++ {
+		res := results[w]
+		if got := res.Jobs[0]; got.Seconds <= 0 {
+			t.Fatalf("split %d: degenerate run", w)
+		}
+		cands = append(cands, Candidate{
+			FgWays:       w,
+			FgSlowdown:   res.Jobs[0].Seconds / alone,
+			BgThroughput: res.Jobs[1].Iterations,
+		})
+	}
+	if want := cands[PickBiased(cands)].FgWays; ch.FgWays != want {
+		t.Fatalf("BestBiased chose %d ways, Pick over the 8-way sweep chose %d", ch.FgWays, want)
+	}
+}
+
+// TestPlanPairPolicies prices every registered policy on the §5 pair:
+// each yields a run with foreground and background progress, static
+// policies report their split, and the searched and online allocations
+// stay inside the cache.
+func TestPlanPairPolicies(t *testing.T) {
+	r := sched.New(sched.Options{Scale: 5e-4})
+	fg := workload.MustByName("fop")
+	bg := workload.MustByName("dedup")
+	alone := r.AloneHalf(fg).Jobs[0].Seconds
+	for _, name := range Names() {
+		plan, err := PairPlan(MustNew(name, nil), r.MachineConfig(), r.Scale(), fg, bg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		out := plan.Harvest(r.RunBatch(plan.Specs()), alone)
+		if out.Main.Jobs[0].Seconds <= 0 || out.Main.Jobs[1].Iterations <= 0 {
+			t.Fatalf("%s: %+v", name, out.Main.Jobs)
+		}
+		fgW, bgW := out.Ways(0), out.Ways(1)
+		switch name {
+		case "shared", "explicit":
+			if fgW != 0 || bgW != 0 {
+				t.Fatalf("%s reported ways %d/%d", name, fgW, bgW)
+			}
+		case "fair":
+			if fgW != 6 || bgW != 6 {
+				t.Fatalf("fair reported ways %d/%d", fgW, bgW)
+			}
+		default: // biased, dynamic, utility
+			if fgW < 1 || fgW > 11 || out.LatencyWays != fgW {
+				t.Fatalf("%s fg ways %d (latency ways %d)", name, fgW, out.LatencyWays)
+			}
+		}
+	}
+}
+
+// TestPlanDynamicReallocates: the dynamic plan on a phased foreground
+// reports the loop's reallocations and final grant in its outcome.
+func TestPlanDynamicReallocates(t *testing.T) {
+	r := sched.New(sched.Options{Scale: 1e-3})
+	fg := workload.MustByName("429.mcf")
+	plan, err := PairPlan(MustNew("dynamic", nil), r.MachineConfig(), r.Scale(), fg, workload.MustByName("ferret"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := plan.Harvest(r.RunBatch(plan.Specs()), 0)
+	if out.Reallocations == 0 {
+		t.Fatal("dynamic policy never reallocated on a phased foreground")
+	}
+	if len(out.FinalWays) != 2 || out.LatencyWays != out.FinalWays[0] {
+		t.Fatalf("final ways %v, latency ways %d", out.FinalWays, out.LatencyWays)
 	}
 }

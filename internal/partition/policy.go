@@ -66,8 +66,7 @@ func (s *Snapshot) latencyIndex() int {
 }
 
 // Policy is a registered way-partitioning scheme — the extension point
-// the scenario, fleet, experiment, and core layers all dispatch
-// through. A policy is identified by its Name and canonical KeyParams;
+// every layer prices through a Plan. A policy is identified by its Name and canonical KeyParams;
 // together (plus the sampling interval, for online policies) they form
 // the RunKey folded into engine memo keys, so results can never alias
 // across policies or parameterizations.
@@ -97,9 +96,8 @@ type Policy interface {
 }
 
 // Searcher is implemented by policies whose decision needs measured
-// candidate runs (the biased exhaustive search): the run layer sweeps
-// every latency-vs-rest split through the engine and the policy picks
-// the winner.
+// candidate runs (the biased exhaustive search): the policy's Plan
+// sweeps every latency-vs-rest split and the policy picks the winner.
 type Searcher interface {
 	Policy
 	// Pick returns the winning candidate's index.
@@ -244,21 +242,6 @@ func RangeOfMask(m cache.WayMask) (first, lim int, ok bool) {
 		return 0, 0, false
 	}
 	return first, lim, true
-}
-
-// PairWays renders an offline policy's decision for the canonical
-// foreground/background pair as (fgWays, bgWays) counts, (0, 0)
-// meaning a fully shared cache — the shape sched.PairSpec takes.
-func PairWays(p Policy, assoc int) (fgWays, bgWays int) {
-	snap := &Snapshot{Assoc: assoc, Jobs: []JobView{{Latency: true}, {}}}
-	masks := p.Decide(snap)
-	if err := ValidateMasks(assoc, 2, masks); err != nil {
-		panic(err.Error())
-	}
-	if masks[0] == 0 && masks[1] == 0 {
-		return 0, 0
-	}
-	return masks[0].Count(), masks[1].Count()
 }
 
 // splitMasks is the canonical latency-vs-rest split: the latency job

@@ -38,13 +38,15 @@ func (i Instance) WaysLabel() string {
 
 // Plan is a scenario resolved against a platform: the effective
 // machine, the expanded instances with validated placements, and the
-// way ranges of the static policies. Biased and dynamic scenarios plan
+// way ranges of the static policies. Search and online scenarios plan
 // with full-cache ranges; Run assigns their splits.
 type Plan struct {
 	Scenario  *Scenario
 	Config    machine.Config
 	Overrides bool // Config differs from the runner's template
 	Instances []Instance
+
+	pricing *partition.Plan // the partition policy priced on this mix
 }
 
 func placementPolicy(name string) (machine.PlacementPolicy, error) {
@@ -55,7 +57,11 @@ func placementPolicy(name string) (machine.PlacementPolicy, error) {
 // machine override, job expansion (replicas, default threads and
 // seeds), placement planning, and static way assignment. Everything a
 // scenario file can get wrong surfaces here as a descriptive error.
-func (s *Scenario) Plan(base machine.Config) (*Plan, error) {
+func (s *Scenario) Plan(base machine.Config) (*Plan, error) { return s.plan(base, 0) }
+
+// plan is Plan with the instruction scale an online policy's sampling
+// interval is sized from (0 when only the static ranges are needed).
+func (s *Scenario) plan(base machine.Config, scale float64) (*Plan, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -181,69 +187,40 @@ func (s *Scenario) Plan(base machine.Config) (*Plan, error) {
 		}
 	}
 
-	// Partition-policy way assignment. The policy re-validates against
-	// the real geometry, then offline policies decide the static ranges
-	// here; search (biased) and online (dynamic, utility) policies plan
-	// with the full cache and decide at run time.
-	assoc := cfg.Hier.LLC.Assoc
+	// Partition-policy way assignment: the policy re-validates against
+	// the real geometry, and offline policies' static ranges land on
+	// the instances; search (biased) and online (dynamic, utility)
+	// policies plan with the full cache and decide at run time.
 	ppol, err := s.Policy()
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
 	plan := &Plan{Scenario: s, Config: cfg, Overrides: override, Instances: insts}
-	snap := plan.snapshot()
-	if err := ppol.CheckMix(snap); err != nil {
+	mix := partition.Mix{Spec: plan.baseMix(),
+		Latency: make([]bool, len(insts)), Declared: make([][2]int, len(insts))}
+	for i, inst := range insts {
+		mix.Latency[i], mix.Declared[i] = inst.Role == RoleLatency, inst.Declared
+	}
+	if plan.pricing, err = partition.NewPlan(ppol, mix, cfg, scale); err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	if _, search := ppol.(partition.Searcher); !search && !ppol.Online() {
-		masks := ppol.Decide(snap)
-		if err := partition.ValidateMasks(assoc, len(insts), masks); err != nil {
-			return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-		}
-		for i, m := range masks {
-			first, lim, ok := partition.RangeOfMask(m)
-			if !ok {
-				return nil, fmt.Errorf("scenario %q: policy %s produced non-contiguous mask %s for job %d",
-					s.Name, ppol.Name(), m, i)
-			}
-			insts[i].WayFirst, insts[i].WayLim = first, lim
-		}
+	for i, r := range plan.pricing.Ranges() {
+		insts[i].WayFirst, insts[i].WayLim = r[0], r[1]
 	}
 	return plan, nil
 }
 
-// snapshot renders the planned instances as the policy layer's
-// plan-time snapshot.
-func (p *Plan) snapshot() *partition.Snapshot {
-	snap := &partition.Snapshot{Assoc: p.Config.Hier.LLC.Assoc}
-	snap.Jobs = make([]partition.JobView, len(p.Instances))
-	for i, inst := range p.Instances {
-		snap.Jobs[i] = partition.JobView{
-			App:      inst.App.Name,
-			Latency:  inst.Role == RoleLatency,
-			Declared: inst.Declared,
-		}
-	}
-	return snap
-}
-
-// mix builds the runnable spec from the planned instances, with an
-// optional way-range override per instance (the biased search sweeps
-// these) and an optional setup hook (the dynamic controller).
-func (p *Plan) mix(ways [][2]int, setup func(m *machine.Machine, jobs []*machine.Job)) sched.MixSpec {
+// baseMix builds the runnable spec of the planned instances at the
+// full cache — the mix the partition plan prices.
+func (p *Plan) baseMix() sched.MixSpec {
 	jobs := make([]sched.MixJob, len(p.Instances))
 	for i, inst := range p.Instances {
-		first, lim := inst.WayFirst, inst.WayLim
-		if ways != nil {
-			first, lim = ways[i][0], ways[i][1]
-		}
 		jobs[i] = sched.MixJob{
 			App: inst.App, Threads: inst.Threads, Slots: inst.Slots,
 			Background: inst.Loop, Seed: inst.Seed,
-			WayFirst: first, WayLim: lim,
 		}
 	}
-	spec := sched.MixSpec{Jobs: jobs, Setup: setup}
+	spec := sched.MixSpec{Jobs: jobs}
 	if p.Overrides {
 		cfg := p.Config
 		spec.Machine = &cfg
@@ -266,33 +243,6 @@ func (p *Plan) aloneMix(i int) sched.MixSpec {
 	return spec
 }
 
-// splitWays returns the biased-style allocation for the whole mix: the
-// latency instance (index fg) replaces in ways [0, w), every other
-// instance in [w, assoc).
-func (p *Plan) splitWays(fg, w int) [][2]int {
-	assoc := p.Config.Hier.LLC.Assoc
-	out := make([][2]int, len(p.Instances))
-	for i := range out {
-		if i == fg {
-			out[i] = [2]int{0, w}
-		} else {
-			out[i] = [2]int{w, assoc}
-		}
-	}
-	return out
-}
-
-// latencyIndex returns the index of the single latency instance
-// (validated to exist for biased/dynamic policies).
-func (p *Plan) latencyIndex() int {
-	for i, inst := range p.Instances {
-		if inst.Role == RoleLatency {
-			return i
-		}
-	}
-	panic("scenario: no latency instance (Validate should have rejected this)")
-}
-
 // Compile builds the runnable, memoizable spec for an offline-policy
 // scenario (shared, fair, explicit). Search and online policies need
 // the engine to sweep or monitor — run them with Run, or batch an
@@ -302,15 +252,12 @@ func (s *Scenario) Compile(base machine.Config) (sched.MixSpec, error) {
 	if err != nil {
 		return sched.MixSpec{}, err
 	}
-	pol, err := s.Policy()
-	if err != nil {
-		return sched.MixSpec{}, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	if _, search := pol.(partition.Searcher); search || pol.Online() {
+	spec, ok := p.pricing.StaticSpec()
+	if !ok {
 		return sched.MixSpec{}, fmt.Errorf("scenario %q: the %s policy is engine-driven; use scenario.Run",
-			s.Name, pol.Name())
+			s.Name, s.PartitionName())
 	}
-	return p.mix(nil, nil), nil
+	return spec, nil
 }
 
 // CompileOnline builds the loop-attached spec of an online-policy
@@ -321,68 +268,15 @@ func (s *Scenario) Compile(base machine.Config) (sched.MixSpec, error) {
 // any other shape; passing lp (receiving each attached run's live
 // loop, for its MPKI/allocation time series) keeps the run
 // non-memoized, since a cached result could not carry the series.
-// Drivers use this to batch many online runs in one engine fan-out;
-// scenario.Run uses it internally.
+// Drivers use this to batch many online runs in one engine fan-out.
 func (s *Scenario) CompileOnline(base machine.Config, scale float64, lp **partition.Loop) (sched.MixSpec, error) {
-	p, err := s.Plan(base)
+	p, err := s.plan(base, scale)
 	if err != nil {
 		return sched.MixSpec{}, err
 	}
-	pol, err := s.Policy()
-	if err != nil {
-		return sched.MixSpec{}, fmt.Errorf("scenario %q: %w", s.Name, err)
+	spec, ok := p.pricing.LoopSpec(lp)
+	if !ok {
+		return sched.MixSpec{}, fmt.Errorf("scenario %q: CompileOnline on offline policy %s", s.Name, s.PartitionName())
 	}
-	if !pol.Online() {
-		return sched.MixSpec{}, fmt.Errorf("scenario %q: CompileOnline on offline policy %s", s.Name, pol.Name())
-	}
-	return p.onlineMix(pol, scale, lp), nil
-}
-
-// onlineMix builds the loop-attached mix of a planned online-policy
-// scenario.
-func (p *Plan) onlineMix(pol partition.Policy, scale float64, lp **partition.Loop) sched.MixSpec {
-	interval := partition.SamplingInterval(p.intervalAnchor(), scale)
-	insts := p.Instances
-	latency := make([]bool, len(insts))
-	for i := range insts {
-		latency[i] = insts[i].Role == RoleLatency
-	}
-	mix := p.mix(nil, func(m *machine.Machine, jobs []*machine.Job) {
-		ljs := make([]partition.LoopJob, len(jobs))
-		for i, j := range jobs {
-			ljs[i] = partition.LoopJob{
-				Job: j, Cores: j.Cores(), App: insts[i].App.Name,
-				Latency: insts[i].Role == RoleLatency, Declared: insts[i].Declared,
-			}
-		}
-		loop := partition.AttachLoop(m, ljs, pol, interval)
-		if lp != nil {
-			*lp = loop
-		}
-	})
-	if lp == nil {
-		mix.PolicyKey = partition.RunKey(pol, interval, latency)
-	}
-	return mix
-}
-
-// intervalAnchor picks the profile the sampling interval is derived
-// from: the single latency job when there is one (the §6 convention),
-// else the first terminating job (whose completion ends the window).
-func (p *Plan) intervalAnchor() *workload.Profile {
-	lat, n := -1, 0
-	for i, inst := range p.Instances {
-		if inst.Role == RoleLatency {
-			lat, n = i, n+1
-		}
-	}
-	if n == 1 {
-		return p.Instances[lat].App
-	}
-	for _, inst := range p.Instances {
-		if !inst.Loop {
-			return inst.App
-		}
-	}
-	return p.Instances[0].App
+	return spec, nil
 }

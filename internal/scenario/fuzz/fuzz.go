@@ -61,7 +61,7 @@ func genFleet(r *rng.Stream, apps []string, seed uint64) *scenario.Scenario {
 		Seed:     fmt.Sprintf("fuzz-%d", seed%997),
 	}
 	if r.Intn(2) == 0 {
-		def.Partition = fleet.PartShared
+		def.Partition = "shared"
 	} // else the biased default
 	switch r.Intn(5) {
 	case 0:

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/partition"
 	"repro/internal/sched"
 	"repro/internal/tabtext"
 )
@@ -39,19 +38,19 @@ type Report struct {
 	WeightedSpeedup float64 // Σ alone/together over run-once jobs
 	TotalThroughput float64 // Σ looping-job throughput
 
-	// BiasedFgWays is the split the biased search chose.
-	BiasedFgWays int
-	// Reallocations/FinalFgWays/FinalWays summarize an online policy's
-	// decision loop (FinalFgWays is the latency job's final allocation,
-	// 0 when the mix has no single latency job).
+	// LatencyWays is the latency job's allocation: the split the biased
+	// search chose, or an online policy's final grant (0 without a
+	// latency job).
+	LatencyWays int
+	// Reallocations/FinalWays summarize an online policy's decision
+	// loop.
 	Reallocations int
-	FinalFgWays   int
 	FinalWays     []int
 }
 
 // Run executes a scenario on the runner under its declared partition
 // policy: it plans the placement, batches the baselines the metrics
-// block needs together with the run itself (and, for the biased
+// block needs together with the partition plan's runs (for the biased
 // policy, the whole split sweep) across the engine's workers, and
 // assembles a deterministic report. Byte-identical output at any
 // parallelism, like every other driver on the engine.
@@ -65,14 +64,14 @@ func RunSpan(r *sched.Runner, s *Scenario, parent obs.SpanID) (*Report, error) {
 	tr := r.Tracer()
 	t0 := time.Now()
 	csp := tr.Start("compile", parent)
-	p, err := s.Plan(r.MachineConfig())
+	p, err := s.plan(r.MachineConfig(), r.Scale())
 	csp.End()
 	r.AddPhase("compile", time.Since(t0))
 	if err != nil {
 		return nil, err
 	}
-	batch := sched.BatchInfo{Span: parent, Phase: "scenario"}
-	assoc := p.Config.Hier.LLC.Assoc
+	rep := &Report{Scenario: s, Policy: s.PartitionName(), Cores: p.Config.Cores,
+		Assoc: p.Config.Hier.LLC.Assoc}
 
 	// Baselines: one alone run per terminating job when a normalizing
 	// metric is requested.
@@ -87,83 +86,34 @@ func RunSpan(r *sched.Runner, s *Scenario, parent obs.SpanID) (*Report, error) {
 			}
 		}
 	}
-
-	pol, err := s.Policy()
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
-	}
-	rep := &Report{Scenario: s, Policy: pol.Name(), Cores: p.Config.Cores, Assoc: assoc}
-
-	var main *machine.Result
-	var ways [][2]int
-	switch searcher, _ := pol.(partition.Searcher); {
-	case searcher != nil:
-		fg := p.latencyIndex()
-		// The biased policy needs the latency job's alone baseline even
-		// when no normalizing metric was requested.
-		fgAloneAt := -1
+	// The biased search normalizes by the latency job's alone baseline
+	// even when no normalizing metric was requested.
+	latAloneAt := -1
+	if fg := p.pricing.AloneJob(); fg >= 0 {
 		for k, i := range aloneIdx {
 			if i == fg {
-				fgAloneAt = k
+				latAloneAt = k
 			}
 		}
-		if fgAloneAt < 0 {
-			fgAloneAt = len(specs)
+		if latAloneAt < 0 {
+			latAloneAt = len(specs)
 			specs = append(specs, p.aloneMix(fg))
 		}
-		sweepAt := len(specs)
-		for w := 1; w < assoc; w++ {
-			specs = append(specs, p.mix(p.splitWays(fg, w), nil))
-		}
-		results := r.RunBatchIn(batch, specs)
-
-		fgAlone := results[fgAloneAt].Jobs[0].Seconds
-		var cands []partition.Candidate
-		for w := 1; w < assoc; w++ {
-			res := results[sweepAt+w-1]
-			var thru float64
-			for _, j := range res.Jobs {
-				if j.Background {
-					thru += j.Iterations
-				}
-			}
-			cands = append(cands, partition.Candidate{
-				FgWays:       w,
-				FgSlowdown:   res.Jobs[fg].Seconds / fgAlone,
-				BgThroughput: thru,
-			})
-		}
-		best := cands[searcher.Pick(cands)]
-		rep.BiasedFgWays = best.FgWays
-		ways = p.splitWays(fg, best.FgWays)
-		main = results[sweepAt+best.FgWays-1]
-		assembleJobs(rep, p, ways, main, results, aloneIdx)
-
-	case pol.Online(): // dynamic, utility, ...
-		mainAt := len(specs)
-		specs = append(specs, p.onlineMix(pol, r.Scale(), nil))
-		results := r.RunBatchIn(batch, specs)
-		main = results[mainAt]
-		if tr := main.Partition; tr != nil {
-			rep.Reallocations = tr.Reallocations
-			rep.FinalWays = tr.FinalWays
-			for i, inst := range p.Instances {
-				if inst.Role == RoleLatency && i < len(tr.FinalWays) {
-					rep.FinalFgWays = tr.FinalWays[i]
-					break
-				}
-			}
-		}
-		assembleJobs(rep, p, nil, main, results, aloneIdx)
-
-	default: // offline: shared, fair, explicit
-		mainAt := len(specs)
-		specs = append(specs, p.mix(nil, nil))
-		results := r.RunBatchIn(batch, specs)
-		main = results[mainAt]
-		assembleJobs(rep, p, nil, main, results, aloneIdx)
 	}
+	planAt := len(specs)
+	specs = append(specs, p.pricing.Specs()...)
+	results := r.RunBatchIn(sched.BatchInfo{Span: parent, Phase: "scenario"}, specs)
 
+	var latAlone float64
+	if latAloneAt >= 0 {
+		latAlone = results[latAloneAt].Jobs[0].Seconds
+	}
+	out := p.pricing.Harvest(results[planAt:], latAlone)
+	rep.LatencyWays = out.LatencyWays
+	rep.Reallocations, rep.FinalWays = out.Reallocations, out.FinalWays
+	assembleJobs(rep, p, out.Ranges, out.Main, results, aloneIdx)
+
+	main := out.Main
 	rep.WindowSeconds = main.WindowSeconds
 	rep.SocketJoules = main.Energy.SocketJoules
 	rep.WallJoules = main.Energy.WallJoules
@@ -172,16 +122,15 @@ func RunSpan(r *sched.Runner, s *Scenario, parent obs.SpanID) (*Report, error) {
 }
 
 // assembleJobs fills the per-instance outcomes and the aggregate
-// metrics from the main run and the alone baselines.
+// metrics from the main run, the way ranges it ran at, and the alone
+// baselines.
 func assembleJobs(rep *Report, p *Plan, ways [][2]int, main *machine.Result, results []*machine.Result, aloneIdx []int) {
 	aloneAt := map[int]int{}
 	for k, i := range aloneIdx {
 		aloneAt[i] = k
 	}
 	for i, inst := range p.Instances {
-		if ways != nil {
-			inst.WayFirst, inst.WayLim = ways[i][0], ways[i][1]
-		}
+		inst.WayFirst, inst.WayLim = ways[i][0], ways[i][1]
 		jr := main.Jobs[i]
 		out := JobOutcome{
 			Instance:   inst,
@@ -296,10 +245,10 @@ func (r *Report) String() string {
 	switch {
 	case r.Policy == PartitionBiased:
 		fmt.Fprintf(&sb, "biased search: latency job granted %d of %d ways\n",
-			r.BiasedFgWays, r.Assoc)
+			r.LatencyWays, r.Assoc)
 	case r.Policy == PartitionDynamic:
 		fmt.Fprintf(&sb, "dynamic controller: %d reallocations, final latency allocation %d ways\n",
-			r.Reallocations, r.FinalFgWays)
+			r.Reallocations, r.LatencyWays)
 	case len(r.FinalWays) > 0: // other online policies (utility, ...)
 		parts := make([]string, len(r.FinalWays))
 		for i, w := range r.FinalWays {

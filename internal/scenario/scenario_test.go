@@ -129,11 +129,11 @@ func TestRunAllPolicies(t *testing.T) {
 				t.Fatalf("%s: batch outcome %+v", pol, o)
 			}
 		}
-		if pol == PartitionBiased && (rep.BiasedFgWays < 1 || rep.BiasedFgWays > 11) {
-			t.Fatalf("biased chose %d ways", rep.BiasedFgWays)
+		if pol == PartitionBiased && (rep.LatencyWays < 1 || rep.LatencyWays > 11) {
+			t.Fatalf("biased chose %d ways", rep.LatencyWays)
 		}
-		if pol == PartitionDynamic && rep.FinalFgWays < 1 {
-			t.Fatalf("dynamic final ways %d", rep.FinalFgWays)
+		if pol == PartitionDynamic && rep.LatencyWays < 1 {
+			t.Fatalf("dynamic final ways %d", rep.LatencyWays)
 		}
 		if pol == PartitionUtility && len(rep.FinalWays) != 4 {
 			t.Fatalf("utility final ways %v", rep.FinalWays)

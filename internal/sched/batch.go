@@ -27,8 +27,8 @@ type BatchInfo struct {
 //
 // Each batch spins up its own bounded worker set rather than sharing a
 // runner-level pool, so nested batches (a driver batching pairs whose
-// assembly calls partition.BestBiased, which batches its own sweep)
-// can never deadlock waiting for each other's workers.
+// assembly runs a search helper, which batches its own sweep) can
+// never deadlock waiting for each other's workers.
 func (r *Runner) RunBatch(specs []Spec) []*machine.Result {
 	return r.RunBatchIn(BatchInfo{}, specs)
 }

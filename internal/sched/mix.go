@@ -13,7 +13,7 @@ import (
 // MixJob is one job of a general N-job mix: an application instance
 // with a validated slot placement, an LLC way range, and a role flag.
 // The scenario layer compiles declarative job descriptions down to
-// these; SingleSpec, PairSpec, and MultiSpec build them internally.
+// these; SingleSpec and PairSpec build them internally.
 type MixJob struct {
 	App *workload.Profile
 	// Threads is the requested software-thread count; execution caps it
@@ -37,8 +37,9 @@ type MixJob struct {
 }
 
 // MixSpec is the general runnable scenario: N jobs on one platform.
-// Every other spec type reduces to a MixSpec — the pair and multi
-// shapes of §5 are two- and (1+N)-job mixes with pack placement — so
+// Every other spec type reduces to a MixSpec — the pair shape of §5 is
+// a two-job mix with pack placement, a foreground with several
+// background peers (§6.3) a (1+N)-job one — so
 // the engine has exactly one execution path, and equivalent
 // configurations deduplicate in the memo cache regardless of which
 // spec type described them.

@@ -19,7 +19,7 @@ func sweepSpecs() []Spec {
 	canneal := workload.MustByName("canneal")
 	specs := []Spec{
 		AloneHalfSpec(mcf),
-		MultiSpec{Fg: mcf, Bgs: []*workload.Profile{ferret, ferret}},
+		multiPeerMix(mcf, []*workload.Profile{ferret, ferret}, 0, 0),
 	}
 	for _, th := range []int{1, 2, 4, 8} {
 		specs = append(specs, SingleSpec{App: ferret, Threads: th})

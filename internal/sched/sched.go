@@ -1,8 +1,7 @@
 // Package sched runs consolidation scenarios on the simulated platform:
 // general N-job mixes (MixSpec) pinned to disjoint cores, of which an
-// application alone, a foreground/background pair, and a foreground
-// with several background peers (the paper's taskset methodology,
-// §2.1/§5) are the canonical shapes. It owns placement, scaling, and the
+// application alone and a foreground/background pair (the paper's
+// taskset methodology, §2.1/§5) are the canonical shapes. It owns placement, scaling, and the
 // experiment execution engine: a worker pool fans independent
 // simulations across CPUs (Options.Parallelism, default GOMAXPROCS)
 // while a singleflight-memoized result cache guarantees each distinct
@@ -107,10 +106,10 @@ func (o Options) parallelism() int {
 }
 
 // Spec is one runnable scenario. MixSpec is the general form — an
-// arbitrary N-job mix — and SingleSpec, PairSpec, and MultiSpec are
-// thin wrappers that build the canonical §5 mixes, so every spec type
-// executes through one path and equivalent configurations share one
-// memo entry. A spec fully determines its simulation — the machine is
+// arbitrary N-job mix — and SingleSpec and PairSpec are thin wrappers
+// that build the canonical §5 mixes, so every spec type executes
+// through one path and equivalent configurations share one memo
+// entry. A spec fully determines its simulation — the machine is
 // built fresh per run and every rng stream is named by spec fields — so
 // running a spec is a pure function and results can be memoized and
 // computed on any worker.
@@ -510,25 +509,20 @@ type PairSpec struct {
 	FgWays, BgWays int
 	Mode           PairMode
 	// Setup, if non-nil, runs after jobs are scheduled and before the
-	// run starts; the dynamic partitioning controller hooks in here.
-	// Runs with a Setup hook are not memoized (the hook may close over
-	// external state), but they may still be batched: each batched run
-	// gets its own machine, and RunBatch's completion barrier makes the
-	// hook's writes visible to the caller.
+	// run starts (samplers and decision loops hook in here). Runs with
+	// a Setup hook are not memoized (the hook may close over external
+	// state), but they may still be batched: each batched run gets its
+	// own machine, and RunBatch's completion barrier makes the hook's
+	// writes visible to the caller.
 	Setup func(m *machine.Machine, fg, bg *machine.Job)
-	// PolicyKey declares the Setup hook a pure function of the pair and
-	// this online-policy identity, making the run memoizable (see
-	// MixSpec.PolicyKey).
-	PolicyKey string
 	// Prefetch overrides the platform prefetcher configuration.
 	Prefetch *prefetch.Config
 }
 
-// toMix builds the scenario this spec denotes: a two-job pack-placed
-// mix, the foreground in the low ways and the background in the high
-// ways when a static split is given.
-func (s PairSpec) toMix(r *Runner) MixSpec {
-	cfg := r.opt.machineConfig()
+// Mix builds the scenario this spec denotes on the given platform: a
+// two-job pack-placed mix, the foreground in the low ways and the
+// background in the high ways when a static split is given.
+func (s PairSpec) Mix(cfg machine.Config) MixSpec {
 	assoc := cfg.Hier.LLC.Assoc
 	var fgFirst, fgLim, bgFirst, bgLim int
 	switch {
@@ -556,14 +550,15 @@ func (s PairSpec) toMix(r *Runner) MixSpec {
 		mix.Setup = func(m *machine.Machine, jobs []*machine.Job) {
 			setup(m, jobs[0], jobs[1])
 		}
-		mix.PolicyKey = s.PolicyKey
 	}
 	return mix
 }
 
-func (s PairSpec) memoKey(r *Runner) string { return s.toMix(r).memoKey(r) }
+func (s PairSpec) memoKey(r *Runner) string { return s.Mix(r.opt.machineConfig()).memoKey(r) }
 
-func (s PairSpec) execute(r *Runner) *machine.Result { return s.toMix(r).execute(r) }
+func (s PairSpec) execute(r *Runner) *machine.Result {
+	return s.Mix(r.opt.machineConfig()).execute(r)
+}
 
 // RunPair executes a pair scenario. Runs with a Setup hook are not
 // memoized (the hook may close over external state).
