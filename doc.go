@@ -25,10 +25,10 @@
 // LLC management is a pluggable policy layer: internal/partition owns
 // a registry of partition.Policy implementations (shared, fair,
 // biased, explicit, the §6 dynamic controller, and a UCP-style
-// utility policy fed by shadow utility monitors), every layer
-// dispatches through the interface, and online-policy runs are
-// memoized under keys carrying the policy identity and parameters
-// (`cachepart policies`, DESIGN.md §7).
+// utility policy fed by shadow utility monitors), every layer prices
+// a policy on a job mix through one partition.Plan, and online-policy
+// runs are memoized under keys carrying the policy identity and
+// parameters (`cachepart policies`, DESIGN.md §7).
 //
 // Above the run layer, internal/fleet simulates the paper's datacenter
 // argument directly: N machines under seeded open-loop load

@@ -42,7 +42,6 @@ type Plan struct {
 	lat      int      // first latency job, -1 when none
 	ranges   [][2]int // static way range per job ([0,0) = full cache)
 	interval float64  // online sampling interval, simulated seconds
-	latency  []bool   // per-job latency flags (RunKey roles)
 }
 
 // NewPlan validates pol against the mix on the given platform and
@@ -51,21 +50,17 @@ type Plan struct {
 // asked for their static Ranges may pass 0.
 func NewPlan(pol Policy, mix Mix, cfg machine.Config, scale float64) (*Plan, error) {
 	n := len(mix.Spec.Jobs)
-	p := &Plan{pol: pol, mix: mix, assoc: cfg.Hier.LLC.Assoc, lat: -1,
-		ranges: make([][2]int, n), latency: make([]bool, n)}
+	latency, declared := make([]bool, n), make([][2]int, n)
+	copy(latency, mix.Latency)
+	copy(declared, mix.Declared)
+	mix.Latency, mix.Declared = latency, declared
+	p := &Plan{pol: pol, mix: mix, assoc: cfg.Hier.LLC.Assoc, lat: -1, ranges: make([][2]int, n)}
 	snap := &Snapshot{Assoc: p.assoc, Jobs: make([]JobView, n)}
 	for i, j := range mix.Spec.Jobs {
-		v := JobView{App: j.App.Name}
-		if i < len(mix.Latency) && mix.Latency[i] {
-			v.Latency, p.latency[i] = true, true
-			if p.lat < 0 {
-				p.lat = i
-			}
+		snap.Jobs[i] = JobView{App: j.App.Name, Latency: latency[i], Declared: declared[i]}
+		if latency[i] && p.lat < 0 {
+			p.lat = i
 		}
-		if i < len(mix.Declared) {
-			v.Declared = mix.Declared[i]
-		}
-		snap.Jobs[i] = v
 	}
 	if err := pol.CheckMix(snap); err != nil {
 		return nil, err
@@ -99,7 +94,7 @@ func NewPlan(pol Policy, mix Mix, cfg machine.Config, scale float64) (*Plan, err
 func (p *Plan) anchor() sched.MixJob {
 	jobs := p.mix.Spec.Jobs
 	n := 0
-	for _, l := range p.latency {
+	for _, l := range p.mix.Latency {
 		if l {
 			n++
 		}
@@ -188,14 +183,11 @@ func (p *Plan) LoopSpec(lp **Loop) (spec sched.MixSpec, ok bool) {
 		return sched.MixSpec{}, false
 	}
 	spec = p.withRanges(p.ranges)
-	pol, interval, latency, declared := p.pol, p.interval, p.latency, p.mix.Declared
+	pol, interval, latency, declared := p.pol, p.interval, p.mix.Latency, p.mix.Declared
 	spec.Setup = func(m *machine.Machine, jobs []*machine.Job) {
 		ljs := make([]LoopJob, len(jobs))
 		for i, j := range jobs {
-			ljs[i] = LoopJob{Job: j, Latency: latency[i]}
-			if i < len(declared) {
-				ljs[i].Declared = declared[i]
-			}
+			ljs[i] = LoopJob{Job: j, Latency: latency[i], Declared: declared[i]}
 		}
 		loop := AttachLoop(m, ljs, pol, interval)
 		if lp != nil {
