@@ -27,7 +27,7 @@ import (
 const benchScale = 5e-4
 
 func quickCtx() *experiments.Context {
-	return experiments.NewQuickContext(benchScale)
+	return experiments.NewQuickContext(sched.Options{Scale: benchScale})
 }
 
 func BenchmarkFig1ThreadScalability(b *testing.B) {
@@ -284,7 +284,7 @@ func BenchmarkFleetRun(b *testing.B) {
 	var requests int
 	for i := 0; i < b.N; i++ {
 		r := sched.New(sched.Options{Scale: benchScale})
-		rep, err := fleet.Run(r, "bench", def)
+		rep, err := fleet.Run(r, "bench", def, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -314,7 +314,7 @@ func BenchmarkFleetRunFast(b *testing.B) {
 	var requests int
 	for i := 0; i < b.N; i++ {
 		r := sched.New(sched.Options{Scale: benchScale})
-		rep, err := fleet.Run(r, "bench", def)
+		rep, err := fleet.Run(r, "bench", def, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -338,7 +338,7 @@ func warmFleet(b *testing.B, path string, scale float64) (*sched.Runner, *fleet.
 		b.Fatal(err)
 	}
 	r := sched.New(sched.Options{Scale: scale})
-	if _, err := fleet.Run(r, s.Name, s.Fleet); err != nil {
+	if _, err := fleet.Run(r, s.Name, s.Fleet, 0); err != nil {
 		b.Fatal(err)
 	}
 	return r, s.Fleet, s.Name
@@ -347,15 +347,15 @@ func warmFleet(b *testing.B, path string, scale float64) (*sched.Runner, *fleet.
 // BenchmarkFleetMultiPolicy replays the shipped 50-machine
 // consolidation fleet across every registered policy over a warm memo:
 // the work left is exactly the per-policy discrete-event episodes,
-// which RunWith spreads over min(policies, GOMAXPROCS) goroutines.
-// Compare -cpu=1 vs -cpu=4 to see the episode-level scaling the
-// policy-parallel path buys.
+// which fleet.Run spreads over min(policies, Parallelism) goroutines
+// (Parallelism defaults to GOMAXPROCS). Compare -cpu=1 vs -cpu=4 to
+// see the episode-level scaling.
 func BenchmarkFleetMultiPolicy(b *testing.B) {
 	r, def, name := warmFleet(b, "examples/scenarios/fleet-consolidation-50.json", sched.QuickScale)
 	npol := len(fleet.Policies())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := fleet.Run(r, name, def)
+		rep, err := fleet.Run(r, name, def, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -374,7 +374,7 @@ func BenchmarkFleetChurn(b *testing.B) {
 	r, def, name := warmFleet(b, "examples/scenarios/fleet-churn-50.json", sched.QuickScale)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := fleet.Run(r, name, def)
+		rep, err := fleet.Run(r, name, def, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -395,7 +395,7 @@ func BenchmarkFleetMega10k(b *testing.B) {
 	npol := len(fleet.Policies())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := fleet.Run(r, name, def)
+		rep, err := fleet.Run(r, name, def, 0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -34,9 +34,9 @@ func cmdFleet(args []string) error {
 }
 
 var fleetValueFlags = map[string]bool{
-	"scale": true, "parallel": true, "policy-parallel": true, "policy": true,
-	"partition": true, "machines": true, "cache-dir": true, "fidelity": true,
-	"fast-margin": true, "trace": true,
+	"scale": true, "parallel": true, "policy": true, "partition": true,
+	"machines": true, "cache-dir": true, "fidelity": true, "fast-margin": true,
+	"trace": true,
 }
 
 // splitPolicies turns the -policy comma list into the override list
@@ -55,8 +55,7 @@ func splitPolicies(policy string) []string {
 func fleetRun(args []string) error {
 	fs := flag.NewFlagSet("fleet run", flag.ExitOnError)
 	scale := fs.Float64("scale", 0, "instruction scale (0 = default)")
-	parallel := fs.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial)")
-	policyParallel := fs.Int("policy-parallel", 0, "concurrent policy episodes per fleet run (0 = min(policies, GOMAXPROCS), 1 = serial)")
+	parallel := fs.Int("parallel", 0, "worker budget for simulation batches and policy episodes (0 = GOMAXPROCS, 1 = serial)")
 	quick := fs.Bool("quick", false, "reduced scale for smoke runs")
 	policy := fs.String("policy", "", "comma-separated consolidation policies to evaluate (override the file)")
 	part := fs.String("partition", "", "comma-separated partition policies to run the fleet under (override the file)")
@@ -75,8 +74,7 @@ func fleetRun(args []string) error {
 		return fmt.Errorf("fleet run: no scenario files given")
 	}
 	cfg := core.RunConfig{
-		Scale: *scale, Quick: *quick, Parallelism: *parallel,
-		PolicyParallel: *policyParallel, CacheDir: *cacheDir,
+		Scale: *scale, Quick: *quick, Parallelism: *parallel, CacheDir: *cacheDir,
 		Policies: splitPolicies(*policy), Machines: *machines,
 		Fidelity: *fidelity, FastMargin: *fastMargin,
 	}

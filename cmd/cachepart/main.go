@@ -116,9 +116,9 @@ func usage() {
   cachepart exp  -id fig1..fig13|table1|table2|table3|headline|all [-scale S] [-quick] [-parallel N] [-cache-dir DIR]
   cachepart scenario run   [-scale S] [-quick] [-parallel N] [-policy P] [-cache-dir DIR] [-json] FILE.json...
   cachepart scenario check [-policy P] FILE.json...
-  cachepart fleet run   [-scale S] [-quick] [-parallel N] [-policy-parallel N] [-policy P,P] [-partition M,M] [-machines N] [-fidelity F] [-fast-margin M] [-cache-dir DIR] [-json] FILE.json...
+  cachepart fleet run   [-scale S] [-quick] [-parallel N] [-policy P,P] [-partition M,M] [-machines N] [-fidelity F] [-fast-margin M] [-cache-dir DIR] [-json] FILE.json...
   cachepart fleet check [-policy P,P] [-partition M] [-machines N] [-fidelity F] FILE.json...
-  cachepart serve [-addr HOST:PORT] [-scale S] [-quick] [-parallel N] [-policy-parallel N] [-cache-dir DIR] [-queue N] [-concurrency N] [-rate R] [-burst N] [-pprof]
+  cachepart serve [-addr HOST:PORT] [-scale S] [-quick] [-parallel N] [-cache-dir DIR] [-queue N] [-concurrency N] [-rate R] [-burst N] [-pprof]
   cachepart version
 
 partition policies are pluggable: 'cachepart policies' lists the
@@ -143,8 +143,10 @@ run per application, and auto screens with fast and re-simulates only
 placements whose predicted slowdown lands within -fast-margin (default
 0.05) of the slowdown limit — the tier for 10k-machine fleets.
 
--parallel sets the worker count (0 = GOMAXPROCS, 1 = serial); output is
-byte-identical at any setting.
+-parallel sets the engine's one worker budget (0 = GOMAXPROCS,
+1 = serial): simulation batches and a fleet run's policy episodes each
+fan out over at most N workers. Output is byte-identical at any
+setting.
 
 -cache-dir persists simulation results to DIR (content-addressed by
 memo key and engine version): repeated invocations — across processes —
@@ -343,9 +345,9 @@ func cmdExp(args []string) error {
 	opt := sched.Options{Scale: *scale, Parallelism: *parallel, CacheDir: *cacheDir}
 	var ctx *experiments.Context
 	if *quick {
-		ctx = experiments.NewQuickContextWith(opt)
+		ctx = experiments.NewQuickContext(opt)
 	} else {
-		ctx = experiments.NewContextWith(opt)
+		ctx = experiments.NewContext(opt)
 	}
 	// The footer reports engine deltas per experiment: simulations run,
 	// memoized results reused, and the effective speedup (summed

@@ -5,10 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/sched"
 )
 
 func quickCtx() *experiments.Context {
-	return experiments.NewQuickContext(5e-4)
+	return experiments.NewQuickContext(sched.Options{Scale: 5e-4})
 }
 
 func TestRunExperimentDispatch(t *testing.T) {

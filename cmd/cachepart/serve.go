@@ -25,8 +25,7 @@ func cmdServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; :0 picks a free port)")
 	scale := fs.Float64("scale", 0, "instruction scale (0 = default)")
-	parallel := fs.Int("parallel", 0, "worker count (0 = GOMAXPROCS, 1 = serial)")
-	policyParallel := fs.Int("policy-parallel", 0, "concurrent policy episodes per fleet run (0 = min(policies, GOMAXPROCS), 1 = serial)")
+	parallel := fs.Int("parallel", 0, "worker budget for simulation batches and policy episodes (0 = GOMAXPROCS, 1 = serial)")
 	quick := fs.Bool("quick", false, "reduced scale for smoke runs")
 	cacheDir := fs.String("cache-dir", "", "persistent result store directory")
 	queue := fs.Int("queue", 16, "pending-run queue depth (full queue answers 503)")
@@ -45,8 +44,7 @@ func cmdServe(args []string) error {
 	// The service always traces: GET /v1/runs/{id}/trace serves each
 	// run's span subtree, and the bounded ring caps memory.
 	sess, err := core.NewSessionWith(core.RunConfig{
-		Scale: *scale, Quick: *quick, Parallelism: *parallel,
-		PolicyParallel: *policyParallel, CacheDir: *cacheDir,
+		Scale: *scale, Quick: *quick, Parallelism: *parallel, CacheDir: *cacheDir,
 	}, obs.New(0))
 	if err != nil {
 		return err

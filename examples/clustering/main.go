@@ -10,11 +10,12 @@ import (
 	"fmt"
 
 	"repro/internal/experiments"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
 func main() {
-	ctx := experiments.NewQuickContext(1e-3)
+	ctx := experiments.NewQuickContext(sched.Options{Scale: 1e-3})
 	// A cross-suite slice: the six Table 3 representatives plus a few
 	// contrasting applications.
 	for _, extra := range []string{"swaptions", "471.omnetpp", "462.libquantum", "h2"} {

@@ -29,7 +29,7 @@ const (
 // flags (scenario run, fleet run, serve) and server request bodies all
 // produce a RunConfig, so a submission means the same thing everywhere.
 //
-// The first five fields configure the engine and are fixed when a
+// The first four fields configure the engine and are fixed when a
 // Session is built; the rest override a spec per run and may differ per
 // submission on a shared session.
 type RunConfig struct {
@@ -39,17 +39,13 @@ type RunConfig struct {
 	// Quick selects the reduced smoke-run scale (sched.QuickScale) when
 	// Scale is 0.
 	Quick bool `json:"quick,omitempty"`
-	// Parallelism is the engine worker count (0 = GOMAXPROCS, 1 = serial).
+	// Parallelism is the session's one CPU budget: simulation batches
+	// and fleet policy episodes each fan out over at most this many
+	// workers (0 = GOMAXPROCS, 1 = serial).
 	Parallelism int `json:"parallelism,omitempty"`
 	// CacheDir, when non-empty, layers the persistent content-addressed
 	// result store under the in-memory memo (see sched.Options.CacheDir).
 	CacheDir string `json:"cache_dir,omitempty"`
-	// PolicyParallel caps how many fleet policy episodes replay
-	// concurrently within one run (0 = min(policies, GOMAXPROCS),
-	// 1 = serial). Episodes share only the read-only oracle, so reports
-	// are byte-identical at any setting. Engine-level: fixed when the
-	// session starts, like Parallelism.
-	PolicyParallel int `json:"policy_parallel,omitempty"`
 
 	// Policy overrides a single-machine scenario's partition policy
 	// (any registered name; see `cachepart policies`).
@@ -78,8 +74,6 @@ func (c RunConfig) Validate() error {
 		return fmt.Errorf("core: scale %g is negative", c.Scale)
 	case c.Parallelism < 0:
 		return fmt.Errorf("core: parallelism %d is negative", c.Parallelism)
-	case c.PolicyParallel < 0:
-		return fmt.Errorf("core: policy_parallel %d is negative", c.PolicyParallel)
 	case c.Machines < 0:
 		return fmt.Errorf("core: machines %d is negative", c.Machines)
 	}
@@ -121,8 +115,6 @@ func (c RunConfig) PerRunOnly() error {
 		return fmt.Errorf("core: quick is fixed when the session starts")
 	case c.Parallelism != 0:
 		return fmt.Errorf("core: parallelism is fixed when the session starts")
-	case c.PolicyParallel != 0:
-		return fmt.Errorf("core: policy_parallel is fixed when the session starts")
 	case c.CacheDir != "":
 		return fmt.Errorf("core: cache_dir is fixed when the session starts")
 	}
@@ -344,9 +336,7 @@ func (s *Session) RunScenario(sc *scenario.Scenario, cfg RunConfig) (*RunResult,
 	span := s.tr.Start("run", 0, attrs...)
 	var report string
 	if sc.IsFleet() {
-		rep, err := fleet.RunWith(s.r, sc.Name, sc.Fleet, fleet.RunOpts{
-			Parent: span.ID(), PolicyParallel: s.cfg.PolicyParallel,
-		})
+		rep, err := fleet.Run(s.r, sc.Name, sc.Fleet, span.ID())
 		if err != nil {
 			span.End(obs.String("error", err.Error()))
 			return nil, err
@@ -361,7 +351,7 @@ func (s *Session) RunScenario(sc *scenario.Scenario, cfg RunConfig) (*RunResult,
 		sb.WriteString(rep.String())
 		report = sb.String()
 	} else {
-		rep, err := scenario.RunSpan(s.r, sc, span.ID())
+		rep, err := scenario.Run(s.r, sc, span.ID())
 		if err != nil {
 			span.End(obs.String("error", err.Error()))
 			return nil, err

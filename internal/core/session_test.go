@@ -118,7 +118,7 @@ func TestSessionScenarioEnvelope(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := scenario.Run(sched.New(sched.Options{Scale: sched.QuickScale}), direct)
+	rep, err := scenario.Run(sched.New(sched.Options{Scale: sched.QuickScale}), direct, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 func calCtx() *Context {
 	// Quick scope (representatives) but the full 12-point capacity sweep:
 	// utility classification needs fine way granularity.
-	c := NewQuickContext(2e-3)
+	c := NewQuickContext(sched.Options{Scale: 2e-3})
 	c.WayPoints = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	return c
 }

@@ -32,22 +32,11 @@ type Context struct {
 	WayPoints []int
 }
 
-// NewContext builds a context at the given instruction scale
-// (0 = sched.DefaultScale) with the default worker count (GOMAXPROCS).
-func NewContext(scale float64) *Context {
-	return NewContextParallel(scale, 0)
-}
-
-// NewContextParallel is NewContext with an explicit worker count
-// (0 = GOMAXPROCS, 1 = serial). Parallel and serial contexts render
-// byte-identical tables; only host time differs.
-func NewContextParallel(scale float64, parallelism int) *Context {
-	return NewContextWith(sched.Options{Scale: scale, Parallelism: parallelism})
-}
-
-// NewContextWith builds a full-scope context over a runner with the
-// given engine options (scale, parallelism, persistent cache dir, ...).
-func NewContextWith(opt sched.Options) *Context {
+// NewContext builds a full-scope context over a runner with the given
+// engine options (scale, parallelism, persistent cache dir, ...).
+// Contexts at any parallelism render byte-identical tables; only host
+// time differs.
+func NewContext(opt sched.Options) *Context {
 	return &Context{
 		R:            sched.New(opt),
 		Apps:         workload.All(),
@@ -57,21 +46,10 @@ func NewContextWith(opt sched.Options) *Context {
 	}
 }
 
-// NewQuickContext builds a reduced-scope context for tests and benches:
+// NewQuickContext is NewContext at reduced scope for tests and benches:
 // representative apps only, coarser sweeps.
-func NewQuickContext(scale float64) *Context {
-	return NewQuickContextParallel(scale, 0)
-}
-
-// NewQuickContextParallel is NewQuickContext with an explicit worker
-// count (0 = GOMAXPROCS, 1 = serial).
-func NewQuickContextParallel(scale float64, parallelism int) *Context {
-	return NewQuickContextWith(sched.Options{Scale: scale, Parallelism: parallelism})
-}
-
-// NewQuickContextWith is NewContextWith at reduced scope.
-func NewQuickContextWith(opt sched.Options) *Context {
-	c := NewContextWith(opt)
+func NewQuickContext(opt sched.Options) *Context {
+	c := NewContext(opt)
 	c.Apps = c.Reps
 	c.ThreadPoints = []int{1, 2, 4, 8}
 	c.WayPoints = []int{1, 2, 4, 6, 8, 10, 12}

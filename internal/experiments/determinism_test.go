@@ -2,13 +2,15 @@ package experiments
 
 import (
 	"testing"
+
+	"repro/internal/sched"
 )
 
 // quickAt builds a reduced-scope context with an explicit worker count.
 // The scope is deliberately tiny (two representatives, reduced scale):
 // the test renders everything twice and runs under -race in CI.
 func quickAt(parallelism int) *Context {
-	c := NewQuickContextParallel(3e-4, parallelism)
+	c := NewQuickContext(sched.Options{Scale: 3e-4, Parallelism: parallelism})
 	c.Reps = c.Reps[:2]
 	c.Apps = c.Reps
 	return c

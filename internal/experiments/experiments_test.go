@@ -4,12 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
 // quick returns a reduced-scope context small enough for unit tests.
 func quick() *Context {
-	return NewQuickContext(5e-4)
+	return NewQuickContext(sched.Options{Scale: 5e-4})
 }
 
 func TestTableRendering(t *testing.T) {

@@ -40,7 +40,7 @@ func loadChurn(t *testing.T) *scenario.Scenario {
 func TestFleetChurn50Golden(t *testing.T) {
 	s := loadChurn(t)
 	r := sched.New(sched.Options{Scale: quickScale})
-	rep, err := fleet.Run(r, s.Name, s.Fleet)
+	rep, err := fleet.Run(r, s.Name, s.Fleet, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestChurnByteIdentity(t *testing.T) {
 			def.Fidelity = tier
 			run := func(opt sched.Options) string {
 				opt.Scale = quickScale
-				rep, err := fleet.Run(sched.New(opt), s.Name, &def)
+				rep, err := fleet.Run(sched.New(opt), s.Name, &def, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -109,7 +109,7 @@ func TestAutoWideMarginMatchesExact(t *testing.T) {
 
 	exactDef := *def
 	exactDef.Fidelity = FidelityExact
-	exact, err := Run(r, "wide-margin", &exactDef)
+	exact, err := Run(r, "wide-margin", &exactDef, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestAutoWideMarginMatchesExact(t *testing.T) {
 	autoDef := *def
 	autoDef.Fidelity = FidelityAuto
 	autoDef.FastMargin = 99
-	auto, err := Run(r, "wide-margin", &autoDef)
+	auto, err := Run(r, "wide-margin", &autoDef, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

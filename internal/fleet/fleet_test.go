@@ -33,7 +33,7 @@ func TestFleetParallelismByteIdentical(t *testing.T) {
 	var outs []string
 	for _, par := range []int{1, 8} {
 		r := sched.New(sched.Options{Scale: testScale, Parallelism: par})
-		rep, err := Run(r, "par-test", def)
+		rep, err := Run(r, "par-test", def, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestFleetDynamicParallelismByteIdentical(t *testing.T) {
 	var outs []string
 	for _, par := range []int{1, 8} {
 		r := sched.New(sched.Options{Scale: testScale, Parallelism: par})
-		rep, err := Run(r, "dyn-par-test", def)
+		rep, err := Run(r, "dyn-par-test", def, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestFleetDynamicParallelismByteIdentical(t *testing.T) {
 
 func TestFleetRunShape(t *testing.T) {
 	r := sched.New(sched.Options{Scale: testScale})
-	rep, err := Run(r, "shape", testDef())
+	rep, err := Run(r, "shape", testDef(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,13 +125,13 @@ func TestFleetSharedVsBiasedPartition(t *testing.T) {
 		Backlog:  []loadgen.BatchDef{{App: "canneal", Count: 2, Iterations: 200}},
 	}
 	r := sched.New(sched.Options{Scale: testScale})
-	biased, err := Run(r, "biased", def)
+	biased, err := Run(r, "biased", def, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	shared := *def
 	shared.Partition = "shared"
-	sharedRep, err := Run(r, "shared", &shared)
+	sharedRep, err := Run(r, "shared", &shared, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +185,7 @@ func TestFleetBacklogOnly(t *testing.T) {
 		Backlog:  []loadgen.BatchDef{{App: "ferret", Count: 6, Iterations: 20}},
 	}
 	r := sched.New(sched.Options{Scale: testScale})
-	rep, err := Run(r, "drain-only", def)
+	rep, err := Run(r, "drain-only", def, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSpreadNeverColocatesUnderLoad(t *testing.T) {
 		Backlog:    []loadgen.BatchDef{{App: "canneal", Count: 1, Iterations: 500}},
 	}
 	r := sched.New(sched.Options{Scale: testScale})
-	rep, err := Run(r, "saturate", def)
+	rep, err := Run(r, "saturate", def, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestFleetBadPolicyParamsErrorNotPanic(t *testing.T) {
 		t.Fatalf("Validate cannot know the geometry yet: %v", err)
 	}
 	r := sched.New(sched.Options{Scale: testScale})
-	_, err := Run(r, "bad-params", def)
+	_, err := Run(r, "bad-params", def, 0)
 	if err == nil || !strings.Contains(err.Error(), "utility policy cannot give 2 jobs 7 way(s) each of 12") {
 		t.Fatalf("bad params: err %v", err)
 	}

@@ -35,7 +35,7 @@ func TestFleet50Golden(t *testing.T) {
 		t.Fatal("fleet-consolidation-50.json lost its fleet block")
 	}
 	r := sched.New(sched.Options{Scale: quickScale})
-	rep, err := fleet.Run(r, s.Name, s.Fleet)
+	rep, err := fleet.Run(r, s.Name, s.Fleet, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestFleetMega10kGolden(t *testing.T) {
 		t.Fatalf("example declares %d machines, want 10000", s.Fleet.Machines)
 	}
 	r := sched.New(sched.Options{Scale: quickScale})
-	rep, err := fleet.Run(r, s.Name, s.Fleet)
+	rep, err := fleet.Run(r, s.Name, s.Fleet, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,13 +144,13 @@ func TestFleetUtility50(t *testing.T) {
 	}
 	// One runner for both modes: the alone baselines simulate once.
 	r := sched.New(sched.Options{Scale: quickScale})
-	util, err := fleet.Run(r, s.Name, s.Fleet)
+	util, err := fleet.Run(r, s.Name, s.Fleet, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sharedDef := *s.Fleet
 	sharedDef.Partition = "shared"
-	shared, err := fleet.Run(r, s.Name+"-shared", &sharedDef)
+	shared, err := fleet.Run(r, s.Name+"-shared", &sharedDef, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestFleetMega10kFullGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := sched.New(sched.Options{Scale: sched.DefaultScale})
-	rep, err := fleet.Run(r, s.Name, s.Fleet)
+	rep, err := fleet.Run(r, s.Name, s.Fleet, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

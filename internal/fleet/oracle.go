@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -210,22 +211,6 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 	// Every oracle prices each request app beside each batch app.
 	npairs := len(fgs) * (len(bgs) + len(evBgs))
 
-	// One batch: alone baselines for every app, then each (fg, bg)
-	// pair's partition-plan runs.
-	var specs []sched.Spec
-	aloneAt := map[string]int{}
-	for _, name := range fgs {
-		aloneAt[name] = len(specs)
-		specs = append(specs, h.aloneMix(apps[name]))
-	}
-	for _, name := range bgs {
-		if _, dup := aloneAt[name]; dup {
-			continue
-		}
-		aloneAt[name] = len(specs)
-		specs = append(specs, h.aloneMix(apps[name]))
-	}
-
 	// Per (fg, bg) pair, one partition plan prices the fleet's policy:
 	// its specs for the exact tier, its prediction for the analytic
 	// ones. All dispatch is in the plan — a newly registered policy
@@ -237,7 +222,7 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 	if err := d.checkEpisodeShape(pol, assoc); err != nil {
 		return nil, err
 	}
-	allBgs := append(append([]string{}, bgs...), evBgs...)
+	allBgs := slices.Concat(bgs, evBgs)
 	plans := make([]*partition.Plan, len(o.pair)) // by slot
 	for _, fg := range fgs {
 		for _, bg := range allBgs {
@@ -260,6 +245,37 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 		return o, nil
 	}
 
+	// One batch prices every app's alone baseline and each (fg, bg)
+	// co-location. Event-only apps follow in their own "replace" batch,
+	// which dedups against the first through the same memo keys.
+	if err := o.exactBatch(r, h, apps, plans, osp.ID(), "oracle", slices.Concat(fgs, bgs), fgs, bgs); err != nil {
+		return nil, err
+	}
+	if len(evBgs) > 0 {
+		if err := o.exactBatch(r, h, apps, plans, osp.ID(), "replace", evBgs, fgs, evBgs); err != nil {
+			return nil, err
+		}
+	}
+	osp.End(obs.Int("alone", len(o.names)), obs.Int("pairs", npairs))
+	return o, nil
+}
+
+// exactBatch runs one exact-tier engine batch labeled phase under
+// span: the alone baseline of each app in alone not yet priced, then
+// the plan runs of every (fg, bg) co-location. It fills the oracle's
+// alone and pair tables from the results, harvesting alone runs in ID
+// order so the first too-short run reported is deterministic.
+func (o *oracle) exactBatch(r *sched.Runner, h halfMixes, apps map[string]*workload.Profile,
+	plans []*partition.Plan, span obs.SpanID, phase string, alone, fgs, bgs []string) error {
+	var specs []sched.Spec
+	aloneAt := map[string]int{}
+	for _, name := range alone {
+		if _, dup := aloneAt[name]; dup || o.aloneOf(name).Seconds > 0 {
+			continue
+		}
+		aloneAt[name] = len(specs)
+		specs = append(specs, h.aloneMix(apps[name]))
+	}
 	pairAt := map[int]int{} // first spec index of the pair's runs, by slot
 	for _, fg := range fgs {
 		for _, bg := range bgs {
@@ -268,63 +284,21 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 		}
 	}
 
-	results := r.RunBatchIn(sched.BatchInfo{Span: osp.ID(), Phase: "oracle"}, specs)
-
-	// Harvest in ID order so the first too-short alone run reported is
-	// deterministic.
+	results := r.RunBatchIn(sched.BatchInfo{Span: span, Phase: phase}, specs)
 	for _, name := range o.names {
 		if at, ok := aloneAt[name]; ok {
 			if err := o.setAlone(name, results[at], r.Scale()); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	}
-
 	for _, fg := range fgs {
 		for _, bg := range bgs {
 			k := o.slot(fg, bg)
 			o.pair[k] = exactPerf(plans[k], results[pairAt[k]:], o.aloneOf(fg).Seconds)
 		}
 	}
-
-	// Event-only apps get their own "replace" batch: the alone baseline
-	// (unless an arrival class already priced it) plus one pair per
-	// request class, so re-placement after churn dedups against the
-	// initial batch through the same memo keys.
-	if len(evBgs) > 0 {
-		var rspecs []sched.Spec
-		evAloneAt := map[string]int{}
-		for _, name := range evBgs {
-			if _, have := aloneAt[name]; have {
-				continue
-			}
-			evAloneAt[name] = len(rspecs)
-			rspecs = append(rspecs, h.aloneMix(apps[name]))
-		}
-		evPairAt := map[int]int{}
-		for _, fg := range fgs {
-			for _, bg := range evBgs {
-				evPairAt[o.slot(fg, bg)] = len(rspecs)
-				rspecs = append(rspecs, plans[o.slot(fg, bg)].Specs()...)
-			}
-		}
-		rresults := r.RunBatchIn(sched.BatchInfo{Span: osp.ID(), Phase: "replace"}, rspecs)
-		for _, name := range evBgs {
-			if at, ok := evAloneAt[name]; ok {
-				if err := o.setAlone(name, rresults[at], r.Scale()); err != nil {
-					return nil, err
-				}
-			}
-		}
-		for _, fg := range fgs {
-			for _, bg := range evBgs {
-				k := o.slot(fg, bg)
-				o.pair[k] = exactPerf(plans[k], rresults[evPairAt[k]:], o.aloneOf(fg).Seconds)
-			}
-		}
-	}
-	osp.End(obs.Int("alone", len(o.names)), obs.Int("pairs", npairs))
-	return o, nil
+	return nil
 }
 
 // exactPerf harvests one co-location's pairPerf from its plan's

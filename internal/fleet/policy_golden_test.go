@@ -31,7 +31,7 @@ func TestFleet50PolicyMatrixGolden(t *testing.T) {
 			def := *s.Fleet
 			def.Partition = fleet.PartitionMode(part)
 			def.Fidelity = fid
-			rep, err := fleet.Run(r, s.Name, &def)
+			rep, err := fleet.Run(r, s.Name, &def, 0)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", part, fid, err)
 			}

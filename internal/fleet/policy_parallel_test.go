@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"sort"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sched"
 )
 
@@ -23,12 +25,11 @@ func churnTestDef() *Def {
 	return def
 }
 
-// TestPolicyParallelByteIdentical is the tentpole's zero-drift
+// TestPolicyParallelByteIdentical is the episode layer's zero-drift
 // guarantee: a fleet report must be byte-identical whether policy
-// episodes replay serially or concurrently, under the exact and auto
-// oracle tiers, on quiet and churning fleets. (The engine-parallelism
-// analogue is TestFleetParallelismByteIdentical; this pins the episode
-// layer added above it.)
+// episodes replay serially (Parallelism 1, inline in order) or
+// concurrently (Parallelism 8), under the exact and auto oracle tiers,
+// on quiet and churning fleets.
 func TestPolicyParallelByteIdentical(t *testing.T) {
 	cases := []struct {
 		name string
@@ -45,16 +46,16 @@ func TestPolicyParallelByteIdentical(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			var outs []string
-			for _, pp := range []int{1, 8} {
-				r := sched.New(sched.Options{Scale: testScale})
-				rep, err := RunWith(r, "pp-"+tc.name, tc.def(), RunOpts{PolicyParallel: pp})
+			for _, par := range []int{1, 8} {
+				r := sched.New(sched.Options{Scale: testScale, Parallelism: par})
+				rep, err := Run(r, "pp-"+tc.name, tc.def(), 0)
 				if err != nil {
 					t.Fatal(err)
 				}
 				outs = append(outs, rep.String())
 			}
 			if outs[0] != outs[1] {
-				t.Errorf("report differs between policy-parallel 1 and 8\n--- serial ---\n%s\n--- parallel ---\n%s",
+				t.Errorf("report differs between parallelism 1 and 8\n--- serial ---\n%s\n--- parallel ---\n%s",
 					outs[0], outs[1])
 			}
 		})
@@ -68,11 +69,11 @@ func TestPolicyParallelByteIdentical(t *testing.T) {
 func TestPolicyParallelStoreByteIdentical(t *testing.T) {
 	def := testDef()
 	var outs []string
-	for _, pp := range []int{1, 8} {
+	for _, par := range []int{1, 8} {
 		dir := t.TempDir()
 		for range 2 { // cold, then warm across a fresh runner
-			r := sched.New(sched.Options{Scale: testScale, CacheDir: dir})
-			rep, err := RunWith(r, "pp-store", def, RunOpts{PolicyParallel: pp})
+			r := sched.New(sched.Options{Scale: testScale, Parallelism: par, CacheDir: dir})
+			rep, err := Run(r, "pp-store", def, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +82,7 @@ func TestPolicyParallelStoreByteIdentical(t *testing.T) {
 	}
 	for i := 1; i < len(outs); i++ {
 		if outs[i] != outs[0] {
-			t.Errorf("report %d differs across policy-parallel x cold/warm store\n--- first ---\n%s\n--- got ---\n%s",
+			t.Errorf("report %d differs across parallelism x cold/warm store\n--- first ---\n%s\n--- got ---\n%s",
 				i, outs[0], outs[i])
 		}
 	}
@@ -91,8 +92,8 @@ func TestPolicyParallelStoreByteIdentical(t *testing.T) {
 // record one entry per policy regardless of how episodes were
 // scheduled.
 func TestPolicyParallelEpisodePhase(t *testing.T) {
-	r := sched.New(sched.Options{Scale: testScale})
-	if _, err := RunWith(r, "phase", testDef(), RunOpts{PolicyParallel: 8}); err != nil {
+	r := sched.New(sched.Options{Scale: testScale, Parallelism: 8})
+	if _, err := Run(r, "phase", testDef(), 0); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range r.Stats().Phases {
@@ -113,15 +114,43 @@ func TestPolicyParallelError(t *testing.T) {
 	def.Partition = "utility"
 	def.PartitionParams = []byte(`{"min_ways": 7}`) // rejected once the geometry is known
 	var msgs []string
-	for _, pp := range []int{1, 8} {
-		r := sched.New(sched.Options{Scale: testScale})
-		_, err := RunWith(r, "err", def, RunOpts{PolicyParallel: pp})
+	for _, par := range []int{1, 8} {
+		r := sched.New(sched.Options{Scale: testScale, Parallelism: par})
+		_, err := Run(r, "err", def, 0)
 		if err == nil {
-			t.Fatalf("policy-parallel %d: bad params accepted", pp)
+			t.Fatalf("parallelism %d: bad params accepted", par)
 		}
 		msgs = append(msgs, err.Error())
 	}
 	if msgs[0] != msgs[1] {
 		t.Errorf("error differs: serial %q, parallel %q", msgs[0], msgs[1])
+	}
+}
+
+// TestSerialEpisodesDoNotOverlap: the engine's Parallelism is the one
+// budget episodes fan out over, so at Parallelism 1 a traced
+// multi-policy run replays its episodes one after another — their
+// spans never overlap.
+func TestSerialEpisodesDoNotOverlap(t *testing.T) {
+	tr := obs.New(0)
+	r := sched.New(sched.Options{Scale: testScale, Parallelism: 1, Tracer: tr})
+	def := testDef()
+	if _, err := Run(r, "serial", def, 0); err != nil {
+		t.Fatal(err)
+	}
+	var eps []obs.SpanRecord
+	for _, rec := range tr.Snapshot() {
+		if rec.Name == "episode" {
+			eps = append(eps, rec)
+		}
+	}
+	if want := len(def.policies()); len(eps) != want || want < 2 {
+		t.Fatalf("%d episode spans for %d policies, want one each (and at least 2)", len(eps), want)
+	}
+	sort.Slice(eps, func(i, j int) bool { return eps[i].Start < eps[j].Start })
+	for i := 1; i < len(eps); i++ {
+		if prevEnd := eps[i-1].Start + eps[i-1].Dur; eps[i].Start < prevEnd {
+			t.Errorf("episode %d starts at %v before episode %d ends at %v", i, eps[i].Start, i-1, prevEnd)
+		}
 	}
 }

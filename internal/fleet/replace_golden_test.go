@@ -26,7 +26,7 @@ func TestReplaceBatchGolden(t *testing.T) {
 	tr := obs.New(0)
 	r := sched.New(sched.Options{Scale: quickScale, Parallelism: 4, Tracer: tr})
 	root := tr.Start("run", 0)
-	rep, err := fleet.RunSpan(r, "replace", def, root.ID())
+	rep, err := fleet.Run(r, "replace", def, root.ID())
 	if err != nil {
 		t.Fatal(err)
 	}

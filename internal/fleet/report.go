@@ -2,10 +2,7 @@ package fleet
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/loadgen"
@@ -70,65 +67,30 @@ type Report struct {
 	Results          []PolicyResult
 }
 
-// RunOpts configures how a fleet run executes; the zero value is the
-// default everywhere.
-type RunOpts struct {
-	// Parent is the trace span the fleet's spans nest under (0 = root).
-	Parent obs.SpanID
-	// PolicyParallel caps how many policy episodes replay concurrently
-	// (0 = min(policies, GOMAXPROCS), 1 = serial). Episodes share only
-	// the read-only oracle, so the report is byte-identical at any
-	// setting.
-	PolicyParallel int
-}
-
-// policyWorkers resolves the episode worker count for n policies.
-func (o RunOpts) policyWorkers(n int) int {
-	w := o.PolicyParallel
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
-}
-
 // Run executes a fleet definition on the runner: it generates the
 // trace, fans every needed single-machine simulation through the
 // engine as one batch, then replays the identical trace under each
 // consolidation policy. Output is deterministic and byte-identical at
-// any engine parallelism.
-func Run(r *sched.Runner, name string, def *Def) (*Report, error) {
-	return RunWith(r, name, def, RunOpts{})
-}
-
-// RunSpan is Run with the trace span the fleet's spans nest under
-// (0 = root).
-func RunSpan(r *sched.Runner, name string, def *Def, parent obs.SpanID) (*Report, error) {
-	return RunWith(r, name, def, RunOpts{Parent: parent})
-}
-
-// RunWith is Run with explicit options. The span tree a traced fleet
-// run produces is:
+// any engine parallelism. The span tree a traced run produces under
+// parent (0 = root) is:
 //
 //	compile                 trace generation
 //	oracle                  performance-oracle construction
 //	  oracle-batch            exact tier: one batch of every sim
+//	  replace-batch           exact tier: timeline-only batch apps
 //	  probe-batch             fast/auto: reduced probe runs
 //	  predict                 fast/auto: analytic pair prediction
 //	  resim-batch             auto: borderline exact re-simulation
 //	episode (per policy)    trace replay under one policy
 //
-// Episodes run concurrently up to RunOpts.PolicyParallel; each opens
-// its own span under Parent, and Report.Results keeps presentation
-// order regardless of completion order. Tracing changes nothing about
-// the report.
-func RunWith(r *sched.Runner, name string, def *Def, opts RunOpts) (*Report, error) {
+// Episodes fan out through the runner's Each, so they share the
+// engine's Parallelism budget; each opens its own span under parent,
+// and Report.Results keeps presentation order regardless of completion
+// order. Tracing changes nothing about the report.
+func Run(r *sched.Runner, name string, def *Def, parent obs.SpanID) (*Report, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
 	}
-	parent := opts.Parent
 	tr := r.Tracer()
 	t0 := time.Now()
 	csp := tr.Start("compile", parent)
@@ -164,57 +126,16 @@ func RunWith(r *sched.Runner, name string, def *Def, opts RunOpts) (*Report, err
 	pols := def.policies()
 	results := make([]PolicyResult, len(pols))
 	errs := make([]error, len(pols))
-	runOne := func(i int) {
+	// Episodes share only def/o/arrivals/backlog, all read-only past
+	// this point, so each is an independent serial replay.
+	r.Each(len(pols), func(i int) {
 		results[i], errs[i] = runEpisode(r, def, o, pols[i], arrivals, backlog, parent)
-	}
-	if workers := opts.policyWorkers(len(pols)); workers <= 1 {
-		for i := range pols {
-			runOne(i)
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-		}
-	} else {
-		// Episodes share only def/o/arrivals/backlog, all read-only past
-		// this point, so each is an independent serial replay. A panic in
-		// an episode (a sim bug) must surface on the calling goroutine as
-		// it would serially, so workers capture the first one and the
-		// caller re-raises it after the barrier — the same discipline as
-		// the engine's batch workers.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		var aborted atomic.Bool
-		var panicOnce sync.Once
-		var panicked any
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() {
-					if p := recover(); p != nil {
-						panicOnce.Do(func() { panicked = p })
-						aborted.Store(true)
-					}
-				}()
-				for !aborted.Load() {
-					i := int(next.Add(1)) - 1
-					if i >= len(pols) {
-						return
-					}
-					runOne(i)
-				}
-			}()
-		}
-		wg.Wait()
-		if panicked != nil {
-			panic(panicked)
-		}
-		// Report the failure of the earliest policy in presentation
-		// order — the same error a serial sweep would have stopped on.
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
+	})
+	// Report the failure of the earliest policy in presentation order,
+	// whatever order the episodes finished in.
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
 	}
 	rep.Results = results

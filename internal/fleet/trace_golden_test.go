@@ -24,7 +24,7 @@ func TestFleetMega10kTraceGolden(t *testing.T) {
 	tr := obs.New(0)
 	r := sched.New(sched.Options{Scale: quickScale, Parallelism: 4, Tracer: tr})
 	root := tr.Start("run", 0)
-	if _, err := fleet.RunSpan(r, s.Name, s.Fleet, root.ID()); err != nil {
+	if _, err := fleet.Run(r, s.Name, s.Fleet, root.ID()); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

@@ -115,9 +115,6 @@ func (b *Bus) ConfigureQoS(groupOf []int, shares []float64) {
 	}
 }
 
-// QoSEnabled reports whether reservation groups are active.
-func (b *Bus) QoSEnabled() bool { return b.qos }
-
 // ClearRate removes thread tid's demand (thread finished or descheduled).
 func (b *Bus) ClearRate(tid int) { b.SetRate(tid, 0) }
 

@@ -40,11 +40,6 @@ func (s *Stream) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Uint32 returns the next 32 pseudo-random bits.
-func (s *Stream) Uint32() uint32 {
-	return uint32(s.Uint64() >> 32)
-}
-
 // Intn returns a pseudo-random int in [0, n). It panics if n <= 0.
 func (s *Stream) Intn(n int) int {
 	if n <= 0 {

@@ -113,7 +113,7 @@ func TestTooSmallScaleFailsFast(t *testing.T) {
 		t.Fatal("seed 4 no longer generates a fleet")
 	}
 	r := sched.New(sched.Options{Scale: sched.QuickScale / 10})
-	_, err := fleet.Run(r, sc.Name, sc.Fleet)
+	_, err := fleet.Run(r, sc.Name, sc.Fleet, 0)
 	const want = "fleet: alone run of fop took 0 s at scale 3e-05; raise -scale"
 	if err == nil || err.Error() != want {
 		t.Fatalf("got error %v, want %q", err, want)

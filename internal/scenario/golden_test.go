@@ -49,7 +49,7 @@ func TestScenarioPolicyGoldens(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.Partition.Policy = scenario.PolicyRef{Name: name}
-			rep, err := scenario.Run(r, s)
+			rep, err := scenario.Run(r, s, 0)
 			if err != nil {
 				fmt.Fprintf(&sb, "-- policy %s not admitted: %v\n", name, err)
 				continue

@@ -53,14 +53,9 @@ type Report struct {
 // block needs together with the partition plan's runs (for the biased
 // policy, the whole split sweep) across the engine's workers, and
 // assembles a deterministic report. Byte-identical output at any
-// parallelism, like every other driver on the engine.
-func Run(r *sched.Runner, s *Scenario) (*Report, error) {
-	return RunSpan(r, s, 0)
-}
-
-// RunSpan is Run with the trace span the scenario's spans nest under
-// (0 = root). Tracing changes nothing about the report.
-func RunSpan(r *sched.Runner, s *Scenario, parent obs.SpanID) (*Report, error) {
+// parallelism, like every other driver on the engine. Its spans nest
+// under parent (0 = root); tracing changes nothing about the report.
+func Run(r *sched.Runner, s *Scenario, parent obs.SpanID) (*Report, error) {
 	tr := r.Tracer()
 	t0 := time.Now()
 	csp := tr.Start("compile", parent)

@@ -113,7 +113,7 @@ func TestRunAllPolicies(t *testing.T) {
 		}
 		s.Partition.Policy = PolicyRef{Name: pol}
 		r := sched.New(sched.Options{Scale: testScale})
-		rep, err := Run(r, s)
+		rep, err := Run(r, s, 0)
 		if err != nil {
 			t.Fatalf("%s: %v", pol, err)
 		}
@@ -275,7 +275,7 @@ func TestRunByteIdenticalAcrossParallelism(t *testing.T) {
 		}
 		s.Partition.Policy = PolicyRef{Name: pol}
 		r := sched.New(sched.Options{Scale: testScale, Parallelism: parallelism})
-		rep, err := Run(r, s)
+		rep, err := Run(r, s, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +332,7 @@ func TestMachineOverrideAndOverSubscription(t *testing.T) {
 	}
 
 	r := sched.New(sched.Options{Scale: testScale})
-	rep, err := Run(r, s)
+	rep, err := Run(r, s, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

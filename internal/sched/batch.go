@@ -23,12 +23,9 @@ type BatchInfo struct {
 // order, fanning the work across Options.Parallelism workers. Identical
 // specs submitted together are deduplicated by the singleflight memo
 // cache — one runs, the rest share its result — so drivers can submit a
-// whole figure's sweep without tracking which runs overlap.
-//
-// Each batch spins up its own bounded worker set rather than sharing a
-// runner-level pool, so nested batches (a driver batching pairs whose
-// assembly runs a search helper, which batches its own sweep) can
-// never deadlock waiting for each other's workers.
+// whole figure's sweep without tracking which runs overlap. The batch
+// fans out through Each, so nested batches never deadlock waiting for
+// each other's workers.
 func (r *Runner) RunBatch(specs []Spec) []*machine.Result {
 	return r.RunBatchIn(BatchInfo{}, specs)
 }
@@ -71,12 +68,6 @@ func (r *Runner) RunBatchIn(info BatchInfo, specs []Spec) []*machine.Result {
 		items = append(items, it)
 	}
 
-	fill := func(it *item, res *machine.Result) {
-		for _, t := range it.targets {
-			out[t] = res
-		}
-	}
-
 	var batchSpan obs.Span
 	if tr := r.opt.Tracer; tr != nil && len(items) > 0 {
 		name := "batch"
@@ -86,6 +77,7 @@ func (r *Runner) RunBatchIn(info BatchInfo, specs []Spec) []*machine.Result {
 		batchSpan = tr.Start(name, info.Span,
 			obs.Int("specs", len(specs)), obs.Int("items", len(items)))
 	}
+	defer batchSpan.End()
 	rc := runCtx{phase: info.Phase, parent: batchSpan.ID()}
 
 	// Queue accounting: every distinct item is "queued" at submission
@@ -98,41 +90,48 @@ func (r *Runner) RunBatchIn(info BatchInfo, specs []Spec) []*machine.Result {
 	defer func() {
 		r.ctr.queueDepth.Add(claimed.Load() - int64(len(items)))
 	}()
-	claim := func() {
+	r.Each(len(items), func(i int) {
 		claimed.Add(1)
 		r.ctr.queueDepth.Add(-1)
 		r.ctr.addPhase(PhaseQueueWait, time.Since(submitted))
-	}
-	runOne := func(it *item) {
-		claim()
 		r.ctr.activeWorkers.Add(1)
 		defer r.ctr.activeWorkers.Add(-1)
-		fill(it, r.run(it.spec, rc))
-	}
-
-	workers := r.opt.parallelism()
-	if workers > len(items) {
-		workers = len(items)
-	}
-	if workers <= 1 {
-		for _, it := range items {
-			runOne(it)
+		res := r.run(items[i].spec, rc)
+		for _, t := range items[i].targets {
+			out[t] = res
 		}
-		batchSpan.End()
-		return out
+	})
+	return out
+}
+
+// Each calls fn(i) for every i in [0, n) and returns once all calls
+// have finished. It is the engine's one bounded fan-out: each call
+// starts at most Parallelism goroutines of its own, which claim indices
+// in order, and at Parallelism 1 the calls run inline in index order.
+// Because no pool is shared between calls, nested fan-outs (a batch
+// whose specs run a search helper that batches its own sweep) can never
+// deadlock waiting for each other's workers.
+//
+// A panicking fn (an experiment-construction or simulator bug) must
+// surface on the calling goroutine, as it would serially — not kill the
+// process from an unrecoverable worker goroutine. Workers capture the
+// first panic and stop claiming indices; Each re-raises it once every
+// worker has stopped.
+func (r *Runner) Each(n int, fn func(i int)) {
+	workers := min(r.opt.parallelism(), n)
+	if workers <= 1 {
+		for i := range n {
+			fn(i)
+		}
+		return
 	}
-	// A panicking spec (an experiment-construction bug) must surface on
-	// the submitting goroutine, as it would serially — not kill the
-	// process from an unrecoverable worker goroutine. Workers capture
-	// the first panic and stop claiming further work; the caller
-	// re-raises it after the barrier.
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	var aborted atomic.Bool
 	var panicOnce sync.Once
 	var panicked any
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	wg.Add(workers)
+	for range workers {
 		go func() {
 			defer wg.Done()
 			defer func() {
@@ -143,30 +142,17 @@ func (r *Runner) RunBatchIn(info BatchInfo, specs []Spec) []*machine.Result {
 			}()
 			for !aborted.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= len(items) {
+				if i >= n {
 					return
 				}
-				runOne(items[i])
+				fn(i)
 			}
 		}()
 	}
 	wg.Wait()
-	batchSpan.End()
 	if panicked != nil {
 		panic(panicked)
 	}
-	return out
-}
-
-// Sweep generates n specs and runs them as one batch, returning results
-// in index order. It is RunBatch for the common "iterate a parameter"
-// shape: Sweep(len(points), func(i int) Spec {...}).
-func (r *Runner) Sweep(n int, gen func(i int) Spec) []*machine.Result {
-	specs := make([]Spec, n)
-	for i := range specs {
-		specs[i] = gen(i)
-	}
-	return r.RunBatch(specs)
 }
 
 // Warm submits specs for execution and discards the results. Drivers

@@ -64,8 +64,9 @@ type Options struct {
 	// created if needed; an unusable directory panics at New (callers
 	// pass user input through ValidateCacheDir for a graceful error).
 	CacheDir string
-	// Parallelism is the worker count RunBatch and Sweep fan
-	// simulations across (0 = GOMAXPROCS, 1 = serial).
+	// Parallelism bounds every fan-out on the runner (Each): batch
+	// simulations and fleet policy episodes alike (0 = GOMAXPROCS,
+	// 1 = serial).
 	Parallelism int
 	// Counters, if non-nil, is where this runner accumulates its
 	// execution stats. Pass another runner's Counters() to report

@@ -13,13 +13,14 @@ import (
 )
 
 // TestPolicyParallelPollDuringRun exercises the full concurrent stack:
-// a session fixed at policy-parallel 4 replays a multi-policy fleet
-// while goroutines hammer the run's status and /metrics. Under -race
+// a session fixed at parallelism 4 replays a multi-policy fleet (its
+// batches and policy episodes both fan out four wide) while goroutines
+// hammer the run's status and /metrics. Under -race
 // (CI's test job) this fails loudly if concurrent policy episodes race
 // each other, the memo shards, or the observability readers. It then
 // pins the memo metrics the endpoint grew alongside the sharding.
 func TestPolicyParallelPollDuringRun(t *testing.T) {
-	_, ts := newTestServer(t, core.RunConfig{PolicyParallel: 4}, Options{Burst: 10})
+	_, ts := newTestServer(t, core.RunConfig{Parallelism: 4}, Options{Burst: 10})
 	spec, err := os.ReadFile(examplePath)
 	if err != nil {
 		t.Fatal(err)

@@ -373,10 +373,13 @@ func TestOverrideApplies(t *testing.T) {
 }
 
 func TestRateLimit429(t *testing.T) {
-	clock := time.Unix(1000, 0)
+	// Server workers read the injected clock (run timing) while the
+	// test advances it, so it is an atomic Unix-nanosecond count.
+	var clock atomic.Int64
+	clock.Store(time.Unix(1000, 0).UnixNano())
 	_, ts := newTestServer(t, core.RunConfig{}, Options{
 		RatePerSec: 0.5, Burst: 1,
-		Now: func() time.Time { return clock },
+		Now: func() time.Time { return time.Unix(0, clock.Load()) },
 	})
 	spec, err := os.ReadFile(examplePath)
 	if err != nil {
@@ -402,7 +405,7 @@ func TestRateLimit429(t *testing.T) {
 	}
 
 	// Advancing the injected clock past the refill admits the client again.
-	clock = clock.Add(3 * time.Second)
+	clock.Add(int64(3 * time.Second))
 	submit(t, ts, spec)
 }
 
