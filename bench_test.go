@@ -388,8 +388,10 @@ func BenchmarkFleetChurn(b *testing.B) {
 // BenchmarkFleetMega10k replays the shipped 10,000-machine example at
 // the engine's default scale under every policy over a warm memo: no
 // simulations, so trace generation, fast-tier pricing and the three
-// 10,000-machine episodes — dominated by placement queries — are the
-// work. `make profile BENCH=BenchmarkFleetMega10k` profiles it.
+// 10,000-machine episodes are the work. An episode's time goes to its
+// set-up over the machine pool and, per event, to the completion heap
+// and placement-index upkeep. `make profile BENCH=BenchmarkFleetMega10k`
+// profiles it.
 func BenchmarkFleetMega10k(b *testing.B) {
 	r, def, name := warmFleet(b, "examples/scenarios/fleet-mega-10k.json", sched.DefaultScale)
 	npol := len(fleet.Policies())

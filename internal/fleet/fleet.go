@@ -271,12 +271,28 @@ func (d *Def) fastMargin() float64 {
 	return d.FastMargin
 }
 
+// Size limits. A definition may come from any HTTP client, and a run's
+// memory grows with its machines, arrivals and batch items, so Validate
+// rejects a definition past these before anything is sized from it.
+// They leave room for ten times the shipped 10,000-machine example.
+const (
+	maxMachines = 100_000
+	// maxArrivals bounds the expected trace: the sum over classes of
+	// rate x duration, at the timeline's peak load-scale factor.
+	maxArrivals = 1_000_000
+	// maxBatchItems bounds the backlog plus every batch-arrival's items.
+	maxBatchItems = 1_000_000
+)
+
 // Validate checks everything that does not depend on the platform:
-// pool shape, known applications, policies, partition mode, and
-// threshold ranges.
+// pool shape and size, known applications, load volume, policies,
+// partition mode, and threshold ranges.
 func (d *Def) Validate() error {
 	if d.Machines < 1 {
 		return fmt.Errorf("fleet: needs at least one machine, got %d", d.Machines)
+	}
+	if d.Machines > maxMachines {
+		return fmt.Errorf("fleet: %d machines exceeds the limit of %d", d.Machines, maxMachines)
 	}
 	if d.Cores < 0 || d.Cores%2 != 0 {
 		return fmt.Errorf("fleet: cores must be a positive even count (latency half + batch half), got %d", d.Cores)
@@ -303,6 +319,9 @@ func (d *Def) Validate() error {
 		if b.Count < 0 {
 			return fmt.Errorf("fleet: backlog %d (%s): negative count", i, b.App)
 		}
+	}
+	if err := d.checkVolume(); err != nil {
+		return err
 	}
 	seen := map[PolicyName]bool{}
 	for _, p := range d.policies() {
@@ -335,6 +354,48 @@ func (d *Def) Validate() error {
 		return fmt.Errorf("fleet: fast_margin must be >= 0, got %v", d.FastMargin)
 	}
 	return d.validateEvents()
+}
+
+// checkVolume enforces maxArrivals and maxBatchItems. Counts are
+// compared one by one before they are summed, so no sum overflows.
+func (d *Def) checkVolume() error {
+	peak := 1.0
+	for _, ev := range d.Events {
+		if ev.Kind == EvLoadScale && ev.Factor > peak {
+			peak = ev.Factor
+		}
+	}
+	expected := 0.0
+	for _, c := range d.Arrivals {
+		expected += c.Rate * d.Duration * peak
+	}
+	if expected > maxArrivals {
+		return fmt.Errorf("fleet: %.0f expected arrivals (rate x duration at the peak load-scale) exceeds the limit of %d",
+			expected, maxArrivals)
+	}
+	// over adds count items (0 means one) to the running total and
+	// reports whether that passes the limit.
+	items := 0
+	over := func(count int) bool {
+		if count > maxBatchItems {
+			return true
+		}
+		items += max(count, 1)
+		return items > maxBatchItems
+	}
+	for i, b := range d.Backlog {
+		if over(b.Count) {
+			return fmt.Errorf("fleet: backlog %d (%s) takes the batch items past the limit of %d",
+				i, b.App, maxBatchItems)
+		}
+	}
+	for i, ev := range d.Events {
+		if ev.Kind == EvBatchArrival && over(ev.Count) {
+			return fmt.Errorf("fleet: event %d (batch-arrival %s) takes the batch items past the limit of %d",
+				i, ev.App, maxBatchItems)
+		}
+	}
+	return nil
 }
 
 // fgApps returns the distinct latency applications in class order.

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -162,6 +163,59 @@ func TestFleetValidation(t *testing.T) {
 	}
 	if err := testDef().Validate(); err != nil {
 		t.Errorf("valid def rejected: %v", err)
+	}
+}
+
+// TestFleetSizeLimits pins the bounds Validate puts on outside input:
+// machines, expected arrivals and batch items past their limits are
+// rejected with an error naming the limit, before anything is sized
+// from them. Only Validate runs; no test runs a fleet this large.
+func TestFleetSizeLimits(t *testing.T) {
+	base := func() *Def {
+		return &Def{Machines: 2, Duration: 1, Arrivals: []loadgen.RequestClass{{App: "xalan", Rate: 10}}}
+	}
+	cases := []struct {
+		name string
+		edit func(d *Def)
+		want string // "" = valid
+	}{
+		{"machines at the limit", func(d *Def) { d.Machines = maxMachines }, ""},
+		{"machines over", func(d *Def) { d.Machines = maxMachines + 1 }, "machines exceeds the limit of 100000"},
+		{"machines from a request", func(d *Def) { d.Machines = 2_000_000_000 }, "machines exceeds the limit of 100000"},
+		{"arrivals at the limit", func(d *Def) { d.Arrivals[0].Rate = maxArrivals }, ""},
+		{"arrivals over", func(d *Def) {
+			d.Arrivals = append(d.Arrivals, loadgen.RequestClass{App: "fop", Rate: maxArrivals})
+		}, "expected arrivals (rate x duration at the peak load-scale) exceeds the limit of 1000000"},
+		{"arrivals over at the peak load-scale", func(d *Def) {
+			d.Arrivals[0].Rate = maxArrivals / 2
+			d.Events = []Event{{At: 0.5, Kind: EvLoadScale, Factor: 3}, {At: 0.6, Kind: EvLoadScale, Factor: 1}}
+		}, "exceeds the limit of 1000000"},
+		{"backlog at the limit", func(d *Def) {
+			d.Backlog = []loadgen.BatchDef{{App: "ferret", Count: maxBatchItems - 1}, {App: "dedup"}}
+		}, ""},
+		{"backlog over", func(d *Def) {
+			d.Backlog = []loadgen.BatchDef{{App: "ferret", Count: maxBatchItems}, {App: "dedup"}}
+		}, "backlog 1 (dedup) takes the batch items past the limit of 1000000"},
+		{"backlog count that would overflow a sum", func(d *Def) {
+			d.Backlog = []loadgen.BatchDef{{App: "ferret", Count: 1}, {App: "dedup", Count: math.MaxInt}}
+		}, "backlog 1 (dedup) takes the batch items past the limit of 1000000"},
+		{"batch-arrival over", func(d *Def) {
+			d.Backlog = []loadgen.BatchDef{{App: "ferret", Count: maxBatchItems / 2}}
+			d.Events = []Event{{At: 0.5, Kind: EvBatchArrival, App: "dedup", Count: maxBatchItems/2 + 1}}
+		}, "event 0 (batch-arrival dedup) takes the batch items past the limit of 1000000"},
+	}
+	for _, c := range cases {
+		d := base()
+		c.edit(d)
+		err := d.Validate()
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%s: accepted", c.name)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%s: error %q does not say %q", c.name, err, c.want)
+		}
 	}
 }
 

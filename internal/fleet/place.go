@@ -100,6 +100,10 @@ type placeIndex struct {
 	idle  bitset // avail, latency slot empty, queue empty
 	noBg  bitset // no batch resident
 	used  bitset // ever hosted work
+	// idleRes summarizes idle machines that host a batch resident: bit w
+	// is set when word w of idle &^ noBg is non-zero, so the queries for
+	// them visit only those words — none when no idle machine has one.
+	idleRes bitset
 	// resident holds one set per app, back to back: res(a) is the
 	// machines whose batch resident runs app a.
 	resident bitset
@@ -118,13 +122,15 @@ type placeIndex struct {
 }
 
 // reset sizes the index for n machines, napps interned apps and ups
-// machine-up events, reusing its storage where large enough. Every set
-// starts empty and, when byLRU, every tree leaf at lastFree -1, the key
-// a fresh machine has; newSim then touches each machine once.
+// machine-up events, reusing its storage where large enough, and fills
+// it a word at a time with what touch computes for a fresh machine: up,
+// available, idle and resident-free; never used, hosting nothing; and,
+// when byLRU, every tree leaf at lastFree -1.
 func (x *placeIndex) reset(n, napps, ups int, byLRU bool) {
 	w := (n + 63) / 64
-	x.up, x.avail, x.idle = reuse(x.up, w), reuse(x.avail, w), reuse(x.idle, w)
-	x.noBg, x.used = reuse(x.noBg, w), reuse(x.used, w)
+	x.up, x.avail, x.idle = fillN(x.up, n), fillN(x.avail, n), fillN(x.idle, n)
+	x.noBg, x.used = fillN(x.noBg, n), reuse(x.used, w)
+	x.idleRes = reuse(x.idleRes, (w+63)/64)
 	x.resident, x.words = reuse(x.resident, napps*w), w
 	x.held = slices.Grow(x.held[:0], ups)
 	x.byLRU = byLRU
@@ -132,6 +138,19 @@ func (x *placeIndex) reset(n, napps, ups int, byLRU bool) {
 		x.lru.reset(n, -1)
 		x.fresh.reset(n, -1)
 	}
+}
+
+// fillN returns b resized to hold n bits, every one of them set and
+// the padding of the last word clear.
+func fillN(b bitset, n int) bitset {
+	b = reuse(b, (n+63)/64)
+	for w := range b {
+		b[w] = ^uint64(0)
+	}
+	if r := n & 63; r != 0 {
+		b[len(b)-1] = 1<<r - 1
+	}
+	return b
 }
 
 // res is the resident set of app a.
@@ -151,6 +170,8 @@ func (s *sim) touch(mi int) {
 	x.idle.set(mi, idle)
 	x.noBg.set(mi, noBg)
 	x.used.set(mi, m.used)
+	w := mi >> 6
+	x.idleRes.set(w, x.idle[w]&^x.noBg[w] != 0)
 	for a := 0; a*x.words < len(x.resident); a++ {
 		x.res(a).set(mi, a == m.bg)
 	}
@@ -205,6 +226,37 @@ func first(lim int, word func(w int) uint64) int {
 		}
 	}
 	return -1
+}
+
+// firstIdleRes is first over the idle machines that host a batch
+// resident, visiting only the words idleRes marks: it returns the
+// lowest such machine below lim whose bit is also set in sel(w), or -1.
+func (x *placeIndex) firstIdleRes(lim int, sel func(w int) uint64) int {
+	for sw, sb := range x.idleRes {
+		for ; sb != 0; sb &= sb - 1 {
+			w := sw<<6 + bits.TrailingZeros64(sb)
+			if w<<6 >= lim {
+				return -1
+			}
+			if b := x.idle[w] &^ x.noBg[w] & sel(w); b != 0 {
+				if mi := w<<6 + bits.TrailingZeros64(b); mi < lim {
+					return mi
+				}
+				return -1
+			}
+		}
+	}
+	return -1
+}
+
+// anyIdleRes reports whether some idle machine hosts a batch resident.
+func (x *placeIndex) anyIdleRes() bool {
+	for _, sb := range x.idleRes {
+		if sb != 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // shortestQueue returns the machine below lim with the fewest waiting
@@ -276,17 +328,11 @@ func (s *sim) selectMachine(app int, now float64) (int, bool) {
 			}
 			return b
 		}
-		idleRes := func(w int) uint64 { return x.idle[w] &^ x.noBg[w] }
-		if mi := first(n, func(w int) uint64 {
-			if b := idleRes(w); b != 0 {
-				return b & passing(w)
-			}
-			return 0
-		}); mi >= 0 {
+		if mi := x.firstIdleRes(n, passing); mi >= 0 {
 			return mi, false
 		}
 		// No idle resident passed, so any idle resident failed.
-		rejected := first(n, idleRes) >= 0
+		rejected := x.anyIdleRes()
 		if mi := first(n, func(w int) uint64 { return x.idle[w] & x.noBg[w] & x.used[w] }); mi >= 0 {
 			return mi, rejected
 		}
@@ -307,7 +353,7 @@ func (s *sim) selectMachine(app int, now float64) (int, bool) {
 		// strawman whose tail the check exists to protect. A fully
 		// down prefix spills outside it rather than stalling.
 		k := s.prefixK
-		if mi := first(k, func(w int) uint64 { return x.idle[w] &^ x.noBg[w] }); mi >= 0 {
+		if mi := x.firstIdleRes(k, func(int) uint64 { return ^uint64(0) }); mi >= 0 {
 			return mi, false
 		}
 		if mi := first(k, func(w int) uint64 { return x.idle[w] }); mi >= 0 {

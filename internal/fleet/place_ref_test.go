@@ -213,6 +213,13 @@ func (s *sim) checkIndex(now float64) error {
 				mi, x.lru.key[mi], x.fresh.key[mi], lru, fresh)
 		}
 	}
+	// The idle and noBg sets agree with the states, so the summary of
+	// idle machines hosting a resident must agree with them.
+	for w := range x.idle {
+		if has, want := x.idleRes[w>>6]&(1<<(w&63)) != 0, x.idle[w]&^x.noBg[w] != 0; has != want {
+			return fmt.Errorf("word %d: idle-resident summary bit %v, sets say %v", w, has, want)
+		}
+	}
 	return nil
 }
 

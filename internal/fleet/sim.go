@@ -22,7 +22,7 @@ import (
 const (
 	evFgDone  = iota // a request completed (machine index)
 	evBgDone         // a batch resident finished its item (machine index)
-	evArrival        // a request arrived (trace index)
+	evArrival        // a request arrived (trace index); read from the trace, never heaped
 	evFleet          // a timeline event fired (Def.Events index)
 	evWake           // hysteresis hold expired (machine index); placement retry only
 )
@@ -43,6 +43,12 @@ type event struct {
 // events compare equal — arrival/timeline indices are distinct, and
 // completion versions bump per schedule), so every pop returns the
 // unique minimum whichever implementation manages the array.
+//
+// Arrivals never enter the heap. The trace is already in eventLess
+// order (ascending time, ties by trace index), so the loop reads it
+// through a cursor and merges its head with the heap top (nextEvent):
+// the same sequence a heap holding every arrival would pop, without
+// sifting each of them through it.
 type eventHeap []event
 
 // eventLess orders events by time, then kind, then index, then
@@ -131,8 +137,8 @@ type machState struct {
 }
 
 type reqState struct {
-	arr    loadgen.Arrival
-	app    int // arr.App's interned ID
+	at     float64 // arrival time
+	app    int     // the request app's interned ID
 	finish float64
 	done   bool
 	group  int // recovery group awaiting this request's re-placement (-1 = none)
@@ -160,6 +166,7 @@ type sim struct {
 	machines []machState
 	events   eventHeap
 	reqs     []reqState
+	nextReq  int // trace cursor: the next arrival to deliver
 	backlog  []loadgen.BatchItem
 	nextItem int // next backlog item to place
 	resident int // batch residents currently placed
@@ -198,6 +205,8 @@ type sim struct {
 	rejects  int
 	coloc    int
 	reallocs int
+
+	slow []float64 // per-request slowdowns, filled when the episode is summarized
 }
 
 // simBuffers is an episode's bulk storage, handed from a finished sim
@@ -212,6 +221,7 @@ type simBuffers struct {
 	reqs     []reqState
 	backlog  []loadgen.BatchItem
 	ix       placeIndex
+	slow     []float64
 }
 
 var simPool = sync.Pool{New: func() any { return new(simBuffers) }}
@@ -230,17 +240,20 @@ func reuse[T any](b []T, n int) []T {
 // recycle hands the episode's storage to a later episode; s must not
 // be used afterwards.
 func (s *sim) recycle() {
-	simPool.Put(&simBuffers{machines: s.machines, events: s.events, reqs: s.reqs, backlog: s.backlog, ix: s.ix})
+	simPool.Put(&simBuffers{machines: s.machines, events: s.events, reqs: s.reqs, backlog: s.backlog, ix: s.ix, slow: s.slow})
 }
 
+// newSim builds one policy's episode over the trace. arrivals must be
+// in trace order — ascending time, as loadgen generates them — because
+// the event loop delivers them through a cursor in index order.
 func newSim(def *Def, o *oracle, policy PolicyName, arrivals []loadgen.Arrival, backlog []loadgen.BatchItem) *sim {
-	// Size the heap for its worst concurrent population: every arrival
-	// is pushed up front, plus the timeline, plus scheduled completions
-	// and stale versions per machine that can hold work — never more
-	// machines than work items. The slack keeps steady-state runs from
-	// ever growing the array; a pathological run just grows it.
+	// Size the heap for its worst concurrent population: the timeline,
+	// plus scheduled completions and stale versions per machine that can
+	// hold work — never more machines than work items. The slack keeps
+	// steady-state runs from ever growing the array; a pathological run
+	// just grows it.
 	busy := min(def.Machines, len(arrivals)+len(backlog))
-	heapCap := len(arrivals) + len(def.Events) + 4*busy + 16
+	heapCap := len(def.Events) + 4*busy + 16
 	b := simPool.Get().(*simBuffers)
 	s := &sim{
 		def: def, o: o, policy: policy,
@@ -252,10 +265,16 @@ func newSim(def *Def, o *oracle, policy PolicyName, arrivals []loadgen.Arrival, 
 		backlog:  append(b.backlog[:0], backlog...),
 		maxBatch: def.batchWidth(),
 		ix:       b.ix,
+		slow:     b.slow[:0],
+	}
+	// Every machine starts fresh; the placement index starts from the
+	// matching all-fresh sets (placeIndex.reset).
+	for i := range s.machines {
+		m := &s.machines[i]
+		m.fg, m.bg, m.fgReq, m.lastFree = -1, -1, -1, -1
 	}
 	for i, a := range arrivals {
-		s.reqs[i] = reqState{arr: a, app: o.ids[a.App], group: -1}
-		s.push(a.AtSeconds, evArrival, i, 0)
+		s.reqs[i] = reqState{at: a.AtSeconds, app: o.ids[a.App], group: -1}
 	}
 	s.timeline = def.Events
 	s.totalItems = len(backlog)
@@ -272,11 +291,6 @@ func newSim(def *Def, o *oracle, policy PolicyName, arrivals []loadgen.Arrival, 
 		}
 	}
 	s.ix.reset(def.Machines, len(o.names), ups, policy == SpreadIdle)
-	for i := range s.machines {
-		m := &s.machines[i]
-		m.fg, m.bg, m.fgReq, m.lastFree = -1, -1, -1, -1
-		s.touch(i)
-	}
 	// pack-partition's check, per request app: the resident apps whose
 	// co-location stays within slowdown_limit.
 	limit := def.slowdownLimit()
@@ -490,12 +504,30 @@ func (s *sim) placeBatch(now float64) {
 	}
 }
 
+// nextEvent removes and returns the least pending event under
+// eventLess — the trace cursor's arrival or the heap top — and false
+// once both are exhausted. Equal-time ties resolve exactly as one heap
+// would order them: completions before the arrival, timeline events
+// and wakes after it.
+func (s *sim) nextEvent() (event, bool) {
+	if s.nextReq < len(s.reqs) {
+		a := event{t: s.reqs[s.nextReq].at, kind: evArrival, idx: s.nextReq}
+		if len(s.events) == 0 || eventLess(a, s.events[0]) {
+			s.nextReq++
+			return a, true
+		}
+	}
+	if len(s.events) == 0 {
+		return event{}, false
+	}
+	return s.events.pop(), true
+}
+
 // run executes the event loop to completion and returns the last
 // event time.
 func (s *sim) run() float64 {
 	s.placeBatch(0)
-	for len(s.events) > 0 {
-		e := s.events.pop()
+	for e, ok := s.nextEvent(); ok; e, ok = s.nextEvent() {
 		if e.kind != evWake {
 			// Synthetic hysteresis wake-ups retry placement but are not
 			// part of the run's observable timeline.

@@ -10,7 +10,6 @@ package loadgen
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/rng"
 )
@@ -132,10 +131,27 @@ func expGap(r *rng.Stream, rate float64) float64 {
 // ties broken by (class, seq); each class draws from its own named rng
 // stream, so adding a class never perturbs another class's arrivals.
 func Arrivals(classes []RequestClass, duration float64, seed string) ([]Arrival, error) {
+	return generate(classes, duration, seed, func(r *rng.Stream, c *RequestClass) []float64 {
+		switch c.process() {
+		case ProcBursty:
+			return burstyTimes(r, c, duration)
+		case ProcDiurnal:
+			return diurnalTimes(r, c, duration)
+		default:
+			return poissonTimes(r, c.Rate, duration)
+		}
+	})
+}
+
+// generate validates each class, draws its arrival times from the
+// class's named rng stream with times, and merges the per-class
+// streams into one trace.
+func generate(classes []RequestClass, duration float64, seed string,
+	times func(r *rng.Stream, c *RequestClass) []float64) ([]Arrival, error) {
 	if duration <= 0 {
 		return nil, fmt.Errorf("loadgen: trace duration must be positive, got %v", duration)
 	}
-	var out []Arrival
+	streams := make([][]float64, len(classes))
 	for i := range classes {
 		c := &classes[i]
 		if err := c.Validate(); err != nil {
@@ -145,30 +161,63 @@ func Arrivals(classes []RequestClass, duration float64, seed string) ([]Arrival,
 		if name == "" {
 			name = fmt.Sprintf("class%d", i)
 		}
-		r := rng.NewNamed("loadgen/" + seed + "/" + name)
-		var times []float64
-		switch c.process() {
-		case ProcPoisson:
-			times = poissonTimes(r, c.Rate, duration)
-		case ProcBursty:
-			times = burstyTimes(r, c, duration)
-		case ProcDiurnal:
-			times = diurnalTimes(r, c, duration)
-		}
-		for seq, t := range times {
-			out = append(out, Arrival{AtSeconds: t, App: c.App, Class: i, Seq: seq})
+		streams[i] = times(rng.NewNamed("loadgen/"+seed+"/"+name), c)
+	}
+	return merge(classes, streams), nil
+}
+
+// merge interleaves the per-class time streams, each ascending, into
+// one trace ordered by (time, class, seq): the order sorting their
+// concatenation gives, in O(n log k) for n arrivals over k classes. A
+// binary min-heap holds the classes with arrivals left, keyed by
+// (head time, class index).
+func merge(classes []RequestClass, streams [][]float64) []Arrival {
+	total := 0
+	heads := make([]int, 0, len(streams)) // the heap, of class indices
+	for i, ts := range streams {
+		total += len(ts)
+		if len(ts) > 0 {
+			heads = append(heads, i)
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].AtSeconds != out[b].AtSeconds {
-			return out[a].AtSeconds < out[b].AtSeconds
+	if total == 0 {
+		return nil
+	}
+	pos := make([]int, len(streams)) // next seq per class
+	less := func(a, b int) bool {
+		ta, tb := streams[a][pos[a]], streams[b][pos[b]]
+		return ta < tb || (ta == tb && a < b)
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(heads) {
+				return
+			}
+			if r := c + 1; r < len(heads) && less(heads[r], heads[c]) {
+				c = r
+			}
+			if !less(heads[c], heads[i]) {
+				return
+			}
+			heads[i], heads[c] = heads[c], heads[i]
+			i = c
 		}
-		if out[a].Class != out[b].Class {
-			return out[a].Class < out[b].Class
+	}
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	out := make([]Arrival, 0, total)
+	for len(heads) > 0 {
+		c := heads[0]
+		out = append(out, Arrival{AtSeconds: streams[c][pos[c]], App: classes[c].App, Class: c, Seq: pos[c]})
+		if pos[c]++; pos[c] == len(streams[c]) {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
 		}
-		return out[a].Seq < out[b].Seq
-	})
-	return out, nil
+		down(0)
+	}
+	return out
 }
 
 func poissonTimes(r *rng.Stream, rate, duration float64) []float64 {
@@ -311,43 +360,16 @@ func ArrivalsScaled(classes []RequestClass, duration float64, seed string, scale
 	if err := validateScales(scales); err != nil {
 		return nil, err
 	}
-	if duration <= 0 {
-		return nil, fmt.Errorf("loadgen: trace duration must be positive, got %v", duration)
-	}
-	var out []Arrival
-	for i := range classes {
-		c := &classes[i]
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		name := c.Seed
-		if name == "" {
-			name = fmt.Sprintf("class%d", i)
-		}
-		r := rng.NewNamed("loadgen/" + seed + "/" + name)
-		var times []float64
+	return generate(classes, duration, seed, func(r *rng.Stream, c *RequestClass) []float64 {
 		switch c.process() {
-		case ProcPoisson:
-			times = poissonTimesScaled(r, c.Rate, duration, scales)
 		case ProcBursty:
-			times = burstyTimesScaled(r, c, duration, scales)
+			return burstyTimesScaled(r, c, duration, scales)
 		case ProcDiurnal:
-			times = diurnalTimesScaled(r, c, duration, scales)
+			return diurnalTimesScaled(r, c, duration, scales)
+		default:
+			return poissonTimesScaled(r, c.Rate, duration, scales)
 		}
-		for seq, t := range times {
-			out = append(out, Arrival{AtSeconds: t, App: c.App, Class: i, Seq: seq})
-		}
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].AtSeconds != out[b].AtSeconds {
-			return out[a].AtSeconds < out[b].AtSeconds
-		}
-		if out[a].Class != out[b].Class {
-			return out[a].Class < out[b].Class
-		}
-		return out[a].Seq < out[b].Seq
 	})
-	return out, nil
 }
 
 func poissonTimesScaled(r *rng.Stream, rate, duration float64, scales []ScalePoint) []float64 {
@@ -430,10 +452,10 @@ func diurnalTimesScaled(r *rng.Stream, c *RequestClass, duration float64, scales
 	return times
 }
 
-// Backlog expands batch definitions into the deterministic item order
-// the fleet drains them in: definitions in declaration order, each
-// replicated Count times. Seq numbers replicas within a definition
-// (they seed distinct rng streams when run).
+// BatchItem is one queued batch job: a replica of a BatchDef (or of a
+// fleet timeline's batch-arrival) that holds a machine's batch slot
+// until Iterations application runs complete. Def and Seq identify the
+// replica; Index is its position in the drain order.
 type BatchItem struct {
 	App        string
 	Iterations float64 // application runs this item holds its slot for
@@ -442,7 +464,10 @@ type BatchItem struct {
 	Index      int     // global drain position
 }
 
-// Backlog expands the batch definitions into drain order.
+// Backlog expands batch definitions into the deterministic item order
+// the fleet drains them in: definitions in declaration order, each
+// replicated Count times. Seq numbers replicas within a definition
+// (they seed distinct rng streams when run).
 func Backlog(defs []BatchDef) ([]BatchItem, error) {
 	var out []BatchItem
 	for i, d := range defs {

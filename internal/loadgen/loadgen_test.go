@@ -1,9 +1,13 @@
 package loadgen
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"sort"
 	"testing"
+
+	"repro/internal/rng"
 )
 
 func TestArrivalsDeterministic(t *testing.T) {
@@ -123,4 +127,122 @@ func TestBacklogExpansion(t *testing.T) {
 	if _, err := Backlog([]BatchDef{{App: "x", Iterations: -2}}); err == nil {
 		t.Fatal("negative iterations accepted")
 	}
+}
+
+// sortedTrace is the trace construction the per-class merge replaced,
+// kept as its reference: every class's arrivals concatenated in class
+// order, then sorted by (time, class, seq).
+func sortedTrace(classes []RequestClass, duration float64, seed string, scales []ScalePoint) []Arrival {
+	var out []Arrival
+	for i := range classes {
+		c := &classes[i]
+		name := c.Seed
+		if name == "" {
+			name = fmt.Sprintf("class%d", i)
+		}
+		r := rng.NewNamed("loadgen/" + seed + "/" + name)
+		var times []float64
+		switch {
+		case len(scales) == 0 && c.process() == ProcPoisson:
+			times = poissonTimes(r, c.Rate, duration)
+		case len(scales) == 0 && c.process() == ProcBursty:
+			times = burstyTimes(r, c, duration)
+		case len(scales) == 0:
+			times = diurnalTimes(r, c, duration)
+		case c.process() == ProcPoisson:
+			times = poissonTimesScaled(r, c.Rate, duration, scales)
+		case c.process() == ProcBursty:
+			times = burstyTimesScaled(r, c, duration, scales)
+		default:
+			times = diurnalTimesScaled(r, c, duration, scales)
+		}
+		for seq, t := range times {
+			out = append(out, Arrival{AtSeconds: t, App: c.App, Class: i, Seq: seq})
+		}
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].AtSeconds != out[b].AtSeconds {
+			return out[a].AtSeconds < out[b].AtSeconds
+		}
+		if out[a].Class != out[b].Class {
+			return out[a].Class < out[b].Class
+		}
+		return out[a].Seq < out[b].Seq
+	})
+	return out
+}
+
+// TestMergeMatchesSort checks the merged trace against the sort it
+// replaced over random class sets: every process, with and without a
+// load-scale timeline. Each set also carries twin classes — same seed,
+// process and rate — whose arrival times coincide one for one, so
+// every such tie must fall to class order.
+func TestMergeMatchesSort(t *testing.T) {
+	r := rng.NewNamed("loadgen-merge-test")
+	procs := []Process{ProcPoisson, ProcBursty, ProcDiurnal}
+	ties := 0
+	for trial := 0; trial < 60; trial++ {
+		duration := 0.5 + 2*r.Float64()
+		var classes []RequestClass
+		for i, n := 0, 1+r.Intn(4); i < n; i++ {
+			c := RequestClass{
+				App:     fmt.Sprintf("app%d", r.Intn(3)),
+				Process: procs[r.Intn(len(procs))],
+				Rate:    5 + 300*r.Float64(),
+			}
+			switch c.Process {
+			case ProcBursty:
+				c.BurstFactor = 2 + 6*r.Float64()
+				c.BurstFrac = 0.05 + 0.3*r.Float64()
+				c.BurstSeconds = duration / float64(5+r.Intn(20))
+			case ProcDiurnal:
+				c.Amplitude = r.Float64()
+				c.PeriodSeconds = duration / float64(1+r.Intn(3))
+			}
+			if r.Intn(3) == 0 {
+				c.Seed = fmt.Sprintf("shared%d", r.Intn(2))
+			}
+			classes = append(classes, c)
+		}
+		twin := classes[r.Intn(len(classes))]
+		twin.Seed = "twin"
+		twin.App = "twin-app"
+		at := r.Intn(len(classes) + 1)
+		classes = append(classes[:at], append([]RequestClass{twin}, classes[at:]...)...)
+		twin.App = "twin-app-2"
+		classes = append(classes, twin)
+
+		var scales []ScalePoint
+		if trial%2 == 1 {
+			at := 0.0
+			for i, n := 0, 1+r.Intn(3); i < n; i++ {
+				at += duration * r.Float64() / 3
+				scales = append(scales, ScalePoint{At: at, Factor: 0.3 + 2.7*r.Float64()})
+			}
+		}
+		seed := fmt.Sprintf("trial%d", trial)
+		got, err := ArrivalsScaled(classes, duration, seed, scales)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		want := sortedTrace(classes, duration, seed, scales)
+		if !reflect.DeepEqual(got, want) {
+			for i := range min(len(got), len(want)) {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d (%d classes, %d scale points): arrival %d is %+v, the sort gives %+v",
+						trial, len(classes), len(scales), i, got[i], want[i])
+				}
+			}
+			t.Fatalf("trial %d: merged trace has %d arrivals, the sort %d", trial, len(got), len(want))
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i].AtSeconds == got[i-1].AtSeconds && got[i].Class != got[i-1].Class {
+				ties++
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no two classes ever arrived at the same instant; the class-order tie went unchecked")
+	}
+	t.Logf("%d equal-time arrivals of different classes", ties)
 }

@@ -372,6 +372,45 @@ func TestOverrideApplies(t *testing.T) {
 	}
 }
 
+// TestOversizedFleet400: a fleet past the size limits is refused at
+// submission, whether the spec declares it or the per-run machines
+// override asks for it, so no run ever sizes state from it.
+func TestOversizedFleet400(t *testing.T) {
+	_, ts := newTestServer(t, core.RunConfig{}, Options{})
+	spec, err := os.ReadFile(examplePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inSpec map[string]any
+	if err := json.Unmarshal(spec, &inSpec); err != nil {
+		t.Fatal(err)
+	}
+	inSpec["fleet"].(map[string]any)["machines"] = 2_000_000_000
+	bySpec, err := json.Marshal(inSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byConfig, err := json.Marshal(map[string]any{
+		"spec":   json.RawMessage(spec),
+		"config": map[string]any{"machines": 2_000_000_000},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{"spec": bySpec, "config.machines": byConfig} {
+		resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest ||
+			!bytes.Contains(raw, []byte("2000000000 machines exceeds the limit of 100000")) {
+			t.Errorf("%s: status %d, body %s", name, resp.StatusCode, raw)
+		}
+	}
+}
+
 func TestRateLimit429(t *testing.T) {
 	// Server workers read the injected clock (run timing) while the
 	// test advances it, so it is an atomic Unix-nanosecond count.

@@ -121,24 +121,31 @@ func Euclidean(a, b []float64) float64 {
 }
 
 // Percentile returns the p-th percentile (0-100) of xs using linear
-// interpolation between closest ranks. It panics on an empty slice.
+// interpolation between closest ranks. It sorts a copy, leaving xs as
+// it was, and panics on an empty slice.
 func Percentile(xs []float64, p float64) float64 {
 	cp := append([]float64(nil), xs...)
 	sort.Float64s(cp)
+	return PercentileSorted(cp, p)
+}
+
+// PercentileSorted is Percentile over an already ascending slice, for a
+// caller that reads several percentiles from one sort.
+func PercentileSorted(sorted []float64, p float64) float64 {
 	if p <= 0 {
-		return cp[0]
+		return sorted[0]
 	}
 	if p >= 100 {
-		return cp[len(cp)-1]
+		return sorted[len(sorted)-1]
 	}
-	rank := p / 100 * float64(len(cp)-1)
+	rank := p / 100 * float64(len(sorted)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
 	if lo == hi {
-		return cp[lo]
+		return sorted[lo]
 	}
 	frac := rank - float64(lo)
-	return cp[lo]*(1-frac) + cp[hi]*frac
+	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // Clamp limits x to [lo, hi].
