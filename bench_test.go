@@ -300,8 +300,7 @@ func BenchmarkFleetRun(b *testing.B) {
 // tier: the same cold fleet, but every co-location is predicted from
 // MRC profiles instead of simulated — the per-application profiling
 // runs are the only simulations left. The placements/s ratio against
-// BenchmarkFleetRun is the speedup the analytic tier buys; the
-// acceptance floor for this PR is 10x.
+// BenchmarkFleetRun is the speedup the analytic tier buys.
 func BenchmarkFleetRunFast(b *testing.B) {
 	def := &fleet.Def{
 		Machines: 4,

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/perfmon"
@@ -71,9 +72,9 @@ func (c *Context) Fig12Phases() *Table {
 			Fg: mcf, Bg: bg, Mode: sched.BackgroundLoop,
 			Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
 				// Static split applied through the same mask mechanism.
-				m.Hierarchy().SetWayMask(fgJob.Cores()[0], maskFirst(w))
+				m.Hierarchy().SetWayMask(fgJob.Cores()[0], cache.MaskFirstN(w))
 				for _, core := range bgJob.Cores() {
-					m.Hierarchy().SetWayMask(core, maskRange(w, 12))
+					m.Hierarchy().SetWayMask(core, cache.MaskRange(w, 12))
 				}
 				samplers[i] = perfmon.NewSampler(m, fgJob, interval, func() int { return w })
 			},

@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"strings"
+
+	"repro/internal/tabtext"
 )
 
 // Table is a rendered experiment result: a titled grid plus free-form
@@ -30,38 +32,9 @@ func (t *Table) Note(format string, args ...any) {
 
 // String renders the table as aligned text.
 func (t *Table) String() string {
-	widths := make([]int, len(t.Columns))
-	for i, c := range t.Columns {
-		widths[i] = len(c)
-	}
-	for _, row := range t.Rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s ==\n", t.Title)
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(&sb, "%-*s", widths[i], cell)
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	total := len(t.Columns) - 1
-	for _, w := range widths {
-		total += w + 1
-	}
-	sb.WriteString(strings.Repeat("-", total))
-	sb.WriteByte('\n')
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
+	tabtext.WriteAligned(&sb, append([][]string{t.Columns}, t.Rows...))
 	for _, n := range t.Notes {
 		fmt.Fprintf(&sb, "note: %s\n", n)
 	}

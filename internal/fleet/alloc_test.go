@@ -37,12 +37,11 @@ func simAllocs(t *testing.T, r *sched.Runner, def *Def, arrivals []loadgen.Arriv
 
 // TestSimRunAllocationFree pins the event loop's allocation behavior:
 // the per-event cost must be zero. Setup allocations (machine array,
-// request states, the preallocated heap) are inherently per-episode,
+// request states, the heap's first growth) are inherently per-episode,
 // so the pin compares a short trace against one with ~8x the events —
 // the allocation counts must match, proving nothing in the loop
 // allocates per event. The typed heap (no container/heap interface
-// boxing), the requeued head index, and the preallocated heap backing
-// are what this buys.
+// boxing) and the requeued head index are what this buys.
 func TestSimRunAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")

@@ -282,6 +282,10 @@ const (
 	maxArrivals = 1_000_000
 	// maxBatchItems bounds the backlog plus every batch-arrival's items.
 	maxBatchItems = 1_000_000
+	// maxBurstPeriods bounds each bursty class's expected bursts over
+	// the trace (duration x burst_frac / burst_seconds): the generator
+	// steps through every quiet and burst period, however few arrive.
+	maxBurstPeriods = 1_000_000
 )
 
 // Validate checks everything that does not depend on the platform:
@@ -356,8 +360,9 @@ func (d *Def) Validate() error {
 	return d.validateEvents()
 }
 
-// checkVolume enforces maxArrivals and maxBatchItems. Counts are
-// compared one by one before they are summed, so no sum overflows.
+// checkVolume enforces maxArrivals, maxBurstPeriods and maxBatchItems.
+// Counts are compared one by one before they are summed, so no sum
+// overflows.
 func (d *Def) checkVolume() error {
 	peak := 1.0
 	for _, ev := range d.Events {
@@ -366,8 +371,13 @@ func (d *Def) checkVolume() error {
 		}
 	}
 	expected := 0.0
-	for _, c := range d.Arrivals {
+	for i := range d.Arrivals {
+		c := &d.Arrivals[i]
 		expected += c.Rate * d.Duration * peak
+		if n := c.BurstPeriods(d.Duration); n > maxBurstPeriods {
+			return fmt.Errorf("fleet: arrival class %d (%s): %.3g expected bursts (duration x burst_frac / burst_seconds) exceeds the limit of %d",
+				i, c.App, n, maxBurstPeriods)
+		}
 	}
 	if expected > maxArrivals {
 		return fmt.Errorf("fleet: %.0f expected arrivals (rate x duration at the peak load-scale) exceeds the limit of %d",

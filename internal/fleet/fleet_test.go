@@ -203,6 +203,15 @@ func TestFleetSizeLimits(t *testing.T) {
 			d.Backlog = []loadgen.BatchDef{{App: "ferret", Count: maxBatchItems / 2}}
 			d.Events = []Event{{At: 0.5, Kind: EvBatchArrival, App: "dedup", Count: maxBatchItems/2 + 1}}
 		}, "event 0 (batch-arrival dedup) takes the batch items past the limit of 1000000"},
+		{"bursts at the limit", func(d *Def) {
+			d.Duration = 2_000_000
+			d.Arrivals[0] = loadgen.RequestClass{App: "xalan", Process: loadgen.ProcBursty, Rate: 0.1, BurstFrac: 0.5, BurstSeconds: 1}
+		}, ""},
+		{"bursts too short", func(d *Def) {
+			d.Arrivals[0].Process = loadgen.ProcBursty
+			d.Arrivals[0].BurstSeconds = 1e-12
+		}, "arrival class 0 (xalan): 1.5e+11 expected bursts (duration x burst_frac / burst_seconds) exceeds the limit of 1000000"},
+		{"bursts of the default length", func(d *Def) { d.Arrivals[0].Process = loadgen.ProcBursty }, ""},
 	}
 	for _, c := range cases {
 		d := base()

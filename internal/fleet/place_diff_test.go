@@ -28,13 +28,17 @@ import (
 func TestPlacementMatchesScan(t *testing.T) {
 	r := sched.New(sched.Options{Scale: quickScale})
 	var total struct{ decisions, rejected, fallbacks int }
-	add := func(name string, def *fleet.Def) {
+	// add diffs one fleet under the subtest's t, so a divergence fails
+	// that subtest rather than calling FailNow on the parent, and
+	// returns how many decisions fell on a hold's expiry.
+	add := func(t *testing.T, name string, def *fleet.Def) int {
 		c := fleet.DiffPlacements(t, r, name, def)
 		t.Logf("%s: %d decisions, %d rejected, %d fallbacks, %d at a hold's expiry",
 			name, c.Decisions, c.Rejected, c.Fallbacks, c.HoldEdge)
 		total.decisions += c.Decisions
 		total.rejected += c.Rejected
 		total.fallbacks += c.Fallbacks
+		return c.HoldEdge
 	}
 
 	t.Run("examples", func(t *testing.T) {
@@ -47,13 +51,13 @@ func TestPlacementMatchesScan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			add(s.Name, s.Fleet)
+			add(t, s.Name, s.Fleet)
 			if s.Fleet.Partition == "utility" {
 				// Unpartitioned, the utility example's co-locations fail
 				// the check: the rejection path.
 				shared := *s.Fleet
 				shared.Partition = "shared"
-				add(s.Name+"/shared", &shared)
+				add(t, s.Name+"/shared", &shared)
 			}
 		}
 	})
@@ -68,7 +72,7 @@ func TestPlacementMatchesScan(t *testing.T) {
 		for _, e := range entries {
 			seed := corpusSeed(t, filepath.Join(dir, e.Name()))
 			if sc := fuzz.Generate(seed); sc.Fleet != nil {
-				add(sc.Name, sc.Fleet)
+				add(t, sc.Name, sc.Fleet)
 				fleets++
 			}
 		}
@@ -83,20 +87,14 @@ func TestPlacementMatchesScan(t *testing.T) {
 		for _, h := range []float64{s.Fleet.Hysteresis, 0.12} {
 			def := *s.Fleet
 			def.Hysteresis = h
-			add(s.Name+"/hysteresis-"+strconv.FormatFloat(h, 'g', -1, 64), &def)
+			add(t, s.Name+"/hysteresis-"+strconv.FormatFloat(h, 'g', -1, 64), &def)
 		}
 	})
 
 	t.Run("synthetic-10k", func(t *testing.T) {
-		c := fleet.DiffPlacements(t, r, "synthetic-10k", synthetic10k(t))
-		t.Logf("synthetic-10k: %d decisions, %d rejected, %d fallbacks, %d at a hold's expiry",
-			c.Decisions, c.Rejected, c.Fallbacks, c.HoldEdge)
-		if c.HoldEdge == 0 {
+		if add(t, "synthetic-10k", synthetic10k(t)) == 0 {
 			t.Error("no decision fell on a hold's expiry instant; the equal-timestamp release went unchecked")
 		}
-		total.decisions += c.Decisions
-		total.rejected += c.Rejected
-		total.fallbacks += c.Fallbacks
 	})
 
 	if total.rejected == 0 || total.fallbacks == 0 {
@@ -151,7 +149,7 @@ func synthetic10k(t *testing.T) *fleet.Def {
 			{App: "dedup", Count: 400, Iterations: 4},
 		},
 	}
-	arrivals, err := loadgen.Arrivals(def.Arrivals, def.Duration, def.Seed)
+	arrivals, err := loadgen.ArrivalsScaled(def.Arrivals, def.Duration, def.Seed, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package fleet
 
 import (
 	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/loadgen"
@@ -247,18 +246,14 @@ func (s *sim) recycle() {
 // in trace order — ascending time, as loadgen generates them — because
 // the event loop delivers them through a cursor in index order.
 func newSim(def *Def, o *oracle, policy PolicyName, arrivals []loadgen.Arrival, backlog []loadgen.BatchItem) *sim {
-	// Size the heap for its worst concurrent population: the timeline,
-	// plus scheduled completions and stale versions per machine that can
-	// hold work — never more machines than work items. The slack keeps
-	// steady-state runs from ever growing the array; a pathological run
-	// just grows it.
-	busy := min(def.Machines, len(arrivals)+len(backlog))
-	heapCap := len(def.Events) + 4*busy + 16
+	// The event heap starts from the pooled array, which keeps its
+	// high-water capacity: it holds completions, timeline events and
+	// hysteresis wakes, never arrivals, so tens of events at its peak.
 	b := simPool.Get().(*simBuffers)
 	s := &sim{
 		def: def, o: o, policy: policy,
 		machines: reuse(b.machines, def.Machines),
-		events:   slices.Grow(b.events[:0], heapCap),
+		events:   b.events[:0],
 		reqs:     reuse(b.reqs, len(arrivals)),
 		// Each policy's sim owns its backlog: timeline events append to
 		// and cancel from it, and the trace is shared across policies.

@@ -126,28 +126,20 @@ func expGap(r *rng.Stream, rate float64) float64 {
 	return -math.Log(1-r.Float64()) / rate
 }
 
-// Arrivals generates the merged arrival trace of all classes over
-// [0, duration) seconds. The trace is sorted by time with determinism
-// ties broken by (class, seq); each class draws from its own named rng
-// stream, so adding a class never perturbs another class's arrivals.
-func Arrivals(classes []RequestClass, duration float64, seed string) ([]Arrival, error) {
-	return generate(classes, duration, seed, func(r *rng.Stream, c *RequestClass) []float64 {
-		switch c.process() {
-		case ProcBursty:
-			return burstyTimes(r, c, duration)
-		case ProcDiurnal:
-			return diurnalTimes(r, c, duration)
-		default:
-			return poissonTimes(r, c.Rate, duration)
-		}
-	})
-}
-
-// generate validates each class, draws its arrival times from the
-// class's named rng stream with times, and merges the per-class
-// streams into one trace.
-func generate(classes []RequestClass, duration float64, seed string,
-	times func(r *rng.Stream, c *RequestClass) []float64) ([]Arrival, error) {
+// ArrivalsScaled generates the merged arrival trace of all classes
+// over [0, duration) seconds under a load-scale timeline: every
+// class's instantaneous rate is multiplied by the piecewise-constant
+// factor, and an empty timeline is the unscaled trace. The trace is
+// sorted by time with determinism ties broken by (class, seq); each
+// class draws from its own named rng stream, so adding a class never
+// perturbs another class's arrivals. Under a timeline each process
+// generates candidates at its maximum scaled rate and thins them by
+// the instantaneous factor (Lewis-Shedler), so the trace stays a pure
+// function of spec, seed, and scale timeline.
+func ArrivalsScaled(classes []RequestClass, duration float64, seed string, scales []ScalePoint) ([]Arrival, error) {
+	if err := validateScales(scales); err != nil {
+		return nil, err
+	}
 	if duration <= 0 {
 		return nil, fmt.Errorf("loadgen: trace duration must be positive, got %v", duration)
 	}
@@ -161,7 +153,15 @@ func generate(classes []RequestClass, duration float64, seed string,
 		if name == "" {
 			name = fmt.Sprintf("class%d", i)
 		}
-		streams[i] = times(rng.NewNamed("loadgen/"+seed+"/"+name), c)
+		r := rng.NewNamed("loadgen/" + seed + "/" + name)
+		switch c.process() {
+		case ProcBursty:
+			streams[i] = burstyTimes(r, c, duration, scales)
+		case ProcDiurnal:
+			streams[i] = diurnalTimes(r, c, duration, scales)
+		default:
+			streams[i] = poissonTimes(r, c.Rate, duration, scales)
+		}
 	}
 	return merge(classes, streams), nil
 }
@@ -220,46 +220,83 @@ func merge(classes []RequestClass, streams [][]float64) []Arrival {
 	return out
 }
 
-func poissonTimes(r *rng.Stream, rate, duration float64) []float64 {
+// keep thins a candidate drawn at maxF times the unscaled rate: it
+// survives with probability factor(t)/maxF. Without a timeline every
+// candidate survives and no uniform is drawn, so an unscaled trace
+// spends its rng stream on gaps alone.
+func keep(r *rng.Stream, scales []ScalePoint, maxF, t float64) bool {
+	return len(scales) == 0 || r.Float64()*maxF < factorAt(scales, t)
+}
+
+func poissonTimes(r *rng.Stream, rate, duration float64, scales []ScalePoint) []float64 {
+	maxF := maxScale(scales)
 	var times []float64
-	for t := expGap(r, rate); t < duration; t += expGap(r, rate) {
-		times = append(times, t)
+	for t := expGap(r, rate*maxF); t < duration; t += expGap(r, rate*maxF) {
+		if keep(r, scales, maxF, t) {
+			times = append(times, t)
+		}
 	}
 	return times
+}
+
+// burstShape resolves the bursty process's parameters over a trace of
+// the given duration, defaults filled in: the burst-to-quiet rate
+// ratio, the fraction of time bursting, and the mean burst length.
+func (c *RequestClass) burstShape(duration float64) (factor, frac, burstLen float64) {
+	factor, frac, burstLen = c.BurstFactor, c.BurstFrac, c.BurstSeconds
+	if factor == 0 {
+		factor = 6
+	}
+	if frac == 0 {
+		frac = 0.15
+	}
+	if burstLen == 0 {
+		burstLen = duration / 20
+	}
+	return factor, frac, burstLen
+}
+
+// BurstPeriods is the expected number of bursts a bursty class steps
+// through over duration seconds, duration x burst_frac / burst_seconds
+// (0 for the other processes). The generator draws every quiet and
+// burst period's length, so its work grows with this count whatever
+// the arrival count.
+func (c *RequestClass) BurstPeriods(duration float64) float64 {
+	if c.process() != ProcBursty {
+		return 0
+	}
+	_, frac, burstLen := c.burstShape(duration)
+	return duration * frac / burstLen
 }
 
 // burstyTimes alternates quiet and burst states. Rates are chosen so
 // the long-run mean equals c.Rate:
 //
 //	mean = (1-f)*quiet + f*quiet*factor  =>  quiet = mean/(1+f*(factor-1))
-func burstyTimes(r *rng.Stream, c *RequestClass, duration float64) []float64 {
-	factor := c.BurstFactor
-	if factor == 0 {
-		factor = 6
-	}
-	frac := c.BurstFrac
-	if frac == 0 {
-		frac = 0.15
-	}
-	burstLen := c.BurstSeconds
-	if burstLen == 0 {
-		burstLen = duration / 20
-	}
+//
+// State durations are exponential with the configured means and in
+// unscaled time, so bursts arrive at irregular (but reproducible)
+// times whatever the timeline; a timeline thins the maxF-inflated
+// candidates within each state. Stepping stops at the first candidate
+// past the trace, so the periods drawn are those inside it.
+func burstyTimes(r *rng.Stream, c *RequestClass, duration float64, scales []ScalePoint) []float64 {
+	factor, frac, burstLen := c.burstShape(duration)
 	quietLen := burstLen * (1 - frac) / frac
 	quietRate := c.Rate / (1 + frac*(factor-1))
 	burstRate := quietRate * factor
+	maxF := maxScale(scales)
 
-	// Start quiet; state durations are exponential with the configured
-	// means, so bursts arrive at irregular (but reproducible) times.
 	var times []float64
 	t, bursting := 0.0, false
 	stateEnd := expGap(r, 1/quietLen)
-	for t < duration {
+	for {
 		rate := quietRate
 		if bursting {
 			rate = burstRate
 		}
-		t += expGap(r, rate)
+		if t += expGap(r, rate*maxF); t >= duration {
+			return times
+		}
 		for t >= stateEnd {
 			bursting = !bursting
 			mean := quietLen
@@ -268,16 +305,18 @@ func burstyTimes(r *rng.Stream, c *RequestClass, duration float64) []float64 {
 			}
 			stateEnd += expGap(r, 1/mean)
 		}
-		if t < duration {
+		if keep(r, scales, maxF, t) {
 			times = append(times, t)
 		}
 	}
-	return times
 }
 
 // diurnalTimes thins a max-rate Poisson stream by the instantaneous
-// sinusoidal rate (Lewis-Shedler thinning), preserving the mean.
-func diurnalTimes(r *rng.Stream, c *RequestClass, duration float64) []float64 {
+// sinusoidal rate times the scale factor (Lewis-Shedler thinning),
+// preserving the mean: candidates run at the maximum scaled peak rate
+// and are accepted with probability rate(t)*factor(t) / peak. Without
+// a timeline both factors are exactly 1.
+func diurnalTimes(r *rng.Stream, c *RequestClass, duration float64, scales []ScalePoint) []float64 {
 	amp := c.Amplitude
 	if amp == 0 {
 		amp = 0.8
@@ -286,10 +325,10 @@ func diurnalTimes(r *rng.Stream, c *RequestClass, duration float64) []float64 {
 	if period == 0 {
 		period = duration
 	}
-	maxRate := c.Rate * (1 + amp)
+	maxRate := c.Rate * (1 + amp) * maxScale(scales)
 	var times []float64
 	for t := expGap(r, maxRate); t < duration; t += expGap(r, maxRate) {
-		rate := c.Rate * (1 + amp*math.Sin(2*math.Pi*t/period))
+		rate := c.Rate * (1 + amp*math.Sin(2*math.Pi*t/period)) * factorAt(scales, t)
 		if r.Float64()*maxRate < rate {
 			times = append(times, t)
 		}
@@ -345,111 +384,6 @@ func maxScale(scales []ScalePoint) float64 {
 		}
 	}
 	return m
-}
-
-// ArrivalsScaled is Arrivals under a load-scale timeline: every class's
-// instantaneous rate is multiplied by the piecewise-constant factor.
-// Each process generates candidates at its maximum scaled rate and
-// thins them by the instantaneous factor (Lewis-Shedler), so the trace
-// stays a pure function of spec, seed, and scale timeline. An empty
-// timeline delegates to Arrivals and is byte-identical to it.
-func ArrivalsScaled(classes []RequestClass, duration float64, seed string, scales []ScalePoint) ([]Arrival, error) {
-	if len(scales) == 0 {
-		return Arrivals(classes, duration, seed)
-	}
-	if err := validateScales(scales); err != nil {
-		return nil, err
-	}
-	return generate(classes, duration, seed, func(r *rng.Stream, c *RequestClass) []float64 {
-		switch c.process() {
-		case ProcBursty:
-			return burstyTimesScaled(r, c, duration, scales)
-		case ProcDiurnal:
-			return diurnalTimesScaled(r, c, duration, scales)
-		default:
-			return poissonTimesScaled(r, c.Rate, duration, scales)
-		}
-	})
-}
-
-func poissonTimesScaled(r *rng.Stream, rate, duration float64, scales []ScalePoint) []float64 {
-	maxF := maxScale(scales)
-	var times []float64
-	for t := expGap(r, rate*maxF); t < duration; t += expGap(r, rate*maxF) {
-		if r.Float64()*maxF < factorAt(scales, t) {
-			times = append(times, t)
-		}
-	}
-	return times
-}
-
-// burstyTimesScaled keeps burstyTimes' quiet/burst state machine intact
-// (state durations are unscaled wall time) and thins a maxF-inflated
-// candidate stream within each state.
-func burstyTimesScaled(r *rng.Stream, c *RequestClass, duration float64, scales []ScalePoint) []float64 {
-	factor := c.BurstFactor
-	if factor == 0 {
-		factor = 6
-	}
-	frac := c.BurstFrac
-	if frac == 0 {
-		frac = 0.15
-	}
-	burstLen := c.BurstSeconds
-	if burstLen == 0 {
-		burstLen = duration / 20
-	}
-	quietLen := burstLen * (1 - frac) / frac
-	quietRate := c.Rate / (1 + frac*(factor-1))
-	burstRate := quietRate * factor
-	maxF := maxScale(scales)
-
-	var times []float64
-	t, bursting := 0.0, false
-	stateEnd := expGap(r, 1/quietLen)
-	for t < duration {
-		rate := quietRate
-		if bursting {
-			rate = burstRate
-		}
-		t += expGap(r, rate*maxF)
-		for t >= stateEnd {
-			bursting = !bursting
-			mean := quietLen
-			if bursting {
-				mean = burstLen
-			}
-			stateEnd += expGap(r, 1/mean)
-		}
-		if t < duration && r.Float64()*maxF < factorAt(scales, t) {
-			times = append(times, t)
-		}
-	}
-	return times
-}
-
-// diurnalTimesScaled folds the scale factor into the sinusoid's
-// thinning test: candidates run at the maximum scaled peak rate and
-// accept with probability rate(t)*factor(t) / peak.
-func diurnalTimesScaled(r *rng.Stream, c *RequestClass, duration float64, scales []ScalePoint) []float64 {
-	amp := c.Amplitude
-	if amp == 0 {
-		amp = 0.8
-	}
-	period := c.PeriodSeconds
-	if period == 0 {
-		period = duration
-	}
-	maxF := maxScale(scales)
-	maxRate := c.Rate * (1 + amp) * maxF
-	var times []float64
-	for t := expGap(r, maxRate); t < duration; t += expGap(r, maxRate) {
-		rate := c.Rate * (1 + amp*math.Sin(2*math.Pi*t/period)) * factorAt(scales, t)
-		if r.Float64()*maxRate < rate {
-			times = append(times, t)
-		}
-	}
-	return times
 }
 
 // BatchItem is one queued batch job: a replica of a BatchDef (or of a

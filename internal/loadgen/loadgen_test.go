@@ -16,11 +16,11 @@ func TestArrivalsDeterministic(t *testing.T) {
 		{App: "ferret", Process: ProcBursty, Rate: 25},
 		{App: "fop", Process: ProcDiurnal, Rate: 30, Amplitude: 0.6},
 	}
-	a, err := Arrivals(classes, 2.0, "fleet")
+	a, err := ArrivalsScaled(classes, 2.0, "fleet", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Arrivals(classes, 2.0, "fleet")
+	b, err := ArrivalsScaled(classes, 2.0, "fleet", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestArrivalsDeterministic(t *testing.T) {
 			t.Fatalf("trace not time-sorted at %d", i)
 		}
 	}
-	c, err := Arrivals(classes, 2.0, "other-seed")
+	c, err := ArrivalsScaled(classes, 2.0, "other-seed", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,14 +46,14 @@ func TestArrivalsDeterministic(t *testing.T) {
 
 func TestArrivalsClassIndependence(t *testing.T) {
 	// Adding a class must not perturb an existing class's arrivals.
-	one, err := Arrivals([]RequestClass{{App: "429.mcf", Rate: 40}}, 2.0, "s")
+	one, err := ArrivalsScaled([]RequestClass{{App: "429.mcf", Rate: 40}}, 2.0, "s", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	two, err := Arrivals([]RequestClass{
+	two, err := ArrivalsScaled([]RequestClass{
 		{App: "429.mcf", Rate: 40},
 		{App: "ferret", Rate: 100},
-	}, 2.0, "s")
+	}, 2.0, "s", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestArrivalRatesApproximateMean(t *testing.T) {
 	// Long traces should land near the declared mean rate for every
 	// process (the bursty and diurnal shapes preserve it by design).
 	for _, proc := range []Process{ProcPoisson, ProcBursty, ProcDiurnal} {
-		a, err := Arrivals([]RequestClass{{App: "x", Process: proc, Rate: 50, BurstSeconds: 2}}, 200, "rate")
+		a, err := ArrivalsScaled([]RequestClass{{App: "x", Process: proc, Rate: 50, BurstSeconds: 2}}, 200, "rate", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,12 +92,31 @@ func TestArrivalsValidation(t *testing.T) {
 		{App: "x", Rate: 10, Process: ProcDiurnal, Amplitude: 2},
 	}
 	for i, c := range cases {
-		if _, err := Arrivals([]RequestClass{c}, 1, "s"); err == nil {
+		if _, err := ArrivalsScaled([]RequestClass{c}, 1, "s", nil); err == nil {
 			t.Errorf("case %d: invalid class accepted: %+v", i, c)
 		}
 	}
-	if _, err := Arrivals([]RequestClass{{App: "x", Rate: 1}}, 0, "s"); err == nil {
+	if _, err := ArrivalsScaled([]RequestClass{{App: "x", Rate: 1}}, 0, "s", nil); err == nil {
 		t.Error("zero duration accepted")
+	}
+}
+
+// TestBurstyStopsAtTraceEnd pins that the bursty generator draws no
+// quiet or burst period past the trace. At a rate this low the first
+// candidate lands about a thousand seconds out, and the generator must
+// stop there: it draws the first state's length and that one gap, not
+// the thousands of periods up to the candidate.
+func TestBurstyStopsAtTraceEnd(t *testing.T) {
+	c := &RequestClass{App: "x", Process: ProcBursty, Rate: 1e-3}
+	r := rng.NewNamed("bursty-end")
+	if times := burstyTimes(r, c, 1, nil); len(times) != 0 {
+		t.Fatalf("%d arrivals at rate 1e-3 over 1 s", len(times))
+	}
+	ref := rng.NewNamed("bursty-end")
+	ref.Float64()
+	ref.Float64()
+	if r.Uint64() != ref.Uint64() {
+		t.Fatal("the generator drew past the first candidate beyond the trace")
 	}
 }
 
@@ -142,19 +161,13 @@ func sortedTrace(classes []RequestClass, duration float64, seed string, scales [
 		}
 		r := rng.NewNamed("loadgen/" + seed + "/" + name)
 		var times []float64
-		switch {
-		case len(scales) == 0 && c.process() == ProcPoisson:
-			times = poissonTimes(r, c.Rate, duration)
-		case len(scales) == 0 && c.process() == ProcBursty:
-			times = burstyTimes(r, c, duration)
-		case len(scales) == 0:
-			times = diurnalTimes(r, c, duration)
-		case c.process() == ProcPoisson:
-			times = poissonTimesScaled(r, c.Rate, duration, scales)
-		case c.process() == ProcBursty:
-			times = burstyTimesScaled(r, c, duration, scales)
+		switch c.process() {
+		case ProcPoisson:
+			times = poissonTimes(r, c.Rate, duration, scales)
+		case ProcBursty:
+			times = burstyTimes(r, c, duration, scales)
 		default:
-			times = diurnalTimesScaled(r, c, duration, scales)
+			times = diurnalTimes(r, c, duration, scales)
 		}
 		for seq, t := range times {
 			out = append(out, Arrival{AtSeconds: t, App: c.App, Class: i, Seq: seq})

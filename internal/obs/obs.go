@@ -17,7 +17,7 @@ import (
 )
 
 // Attr is one key/value annotation on a span. Values are strings so
-// span records marshal trivially; use the String/Int/Float helpers.
+// span records marshal trivially; use the String/Int/Int64 helpers.
 type Attr struct {
 	Key   string
 	Value string
@@ -31,11 +31,6 @@ func Int(k string, v int) Attr { return Attr{Key: k, Value: strconv.Itoa(v)} }
 
 // Int64 builds an integer-valued attribute from an int64.
 func Int64(k string, v int64) Attr { return Attr{Key: k, Value: strconv.FormatInt(v, 10)} }
-
-// Float builds a float-valued attribute (shortest round-trip form).
-func Float(k string, v float64) Attr {
-	return Attr{Key: k, Value: strconv.FormatFloat(v, 'g', -1, 64)}
-}
 
 // SpanID identifies a span within one tracer. The zero value means
 // "no span" and is what nil tracers hand out; it is always safe to use

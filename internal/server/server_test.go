@@ -411,6 +411,39 @@ func TestOversizedFleet400(t *testing.T) {
 	}
 }
 
+// TestTinyBurstSeconds400 pins the bursty generator's bound at the
+// service: a burst length that would have the generator step through
+// billions of quiet and burst periods is a 400, not a worker held for
+// hours.
+func TestTinyBurstSeconds400(t *testing.T) {
+	_, ts := newTestServer(t, core.RunConfig{}, Options{})
+	spec, err := os.ReadFile(examplePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var inSpec map[string]any
+	if err := json.Unmarshal(spec, &inSpec); err != nil {
+		t.Fatal(err)
+	}
+	inSpec["fleet"].(map[string]any)["arrivals"] = []any{map[string]any{
+		"app": "429.mcf", "process": "bursty", "rate": 1200, "burst_seconds": 1e-12,
+	}}
+	body, err := json.Marshal(inSpec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(ts.URL+"/v1/runs", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(raw, []byte("expected bursts")) ||
+		!bytes.Contains(raw, []byte("exceeds the limit of 1000000")) {
+		t.Errorf("status %d, body %s", resp.StatusCode, raw)
+	}
+}
+
 func TestRateLimit429(t *testing.T) {
 	// Server workers read the injected clock (run timing) while the
 	// test advances it, so it is an atomic Unix-nanosecond count.
