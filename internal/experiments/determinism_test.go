@@ -21,15 +21,17 @@ func quickAt(parallelism int) *Context {
 // with 8 workers must produce byte-identical text. The set covers the
 // main driver shapes — a thread sweep assembled from batched singles, a
 // pair heatmap consumed directly from batch results, a policy study
-// with a nested biased search, and the batched Setup-hook runs of the
-// phase study (samplers and the dynamic controller).
+// with a nested biased search, the batched Setup-hook runs of the
+// phase study (samplers and the dynamic controller), and the small-LLC
+// ablation, whose batches mix two platforms.
 func TestTablesByteIdenticalAcrossParallelism(t *testing.T) {
 	render := func(c *Context) map[string]string {
 		return map[string]string{
-			"fig1":  c.Fig1ThreadScalability().String(),
-			"fig8":  c.Fig8Heatmap(c.Reps, c.Reps).Table.String(),
-			"fig9":  c.Fig9StaticPolicies().Table.String(),
-			"fig12": c.Fig12Phases().String(),
+			"fig1":      c.Fig1ThreadScalability().String(),
+			"fig8":      c.Fig8Heatmap(c.Reps, c.Reps).Table.String(),
+			"fig9":      c.Fig9StaticPolicies().Table.String(),
+			"fig12":     c.Fig12Phases().String(),
+			"small-llc": c.AblationSmallLLC().String(),
 		}
 	}
 	serial := render(quickAt(1))

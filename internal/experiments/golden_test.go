@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -33,6 +34,44 @@ func TestFig9Golden(t *testing.T) {
 	}
 	if got != string(want) {
 		t.Errorf("Fig 9 output drifted from pre-refactor golden\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+}
+
+// TestAblationGoldens pins the seven ablation tables at the quickAt
+// scope, one golden for all of them. The platform-variant ablations
+// (small LLC, bandwidth QoS, indexing, replacement, inclusion) put a
+// second platform beside the default one, so this is the net under
+// any change to how a spec names its platform. Regenerate with
+// -update-golden.
+func TestAblationGoldens(t *testing.T) {
+	c := quickAt(0)
+	var sb strings.Builder
+	for _, tab := range []*Table{
+		c.AblationSmallLLC(),
+		c.AblationBandwidthQoS(),
+		c.AblationIndexing(),
+		c.AblationReplacement(),
+		c.AblationInclusion(),
+		c.AblationPrefetchers(),
+		c.AblationMultiBackground(),
+	} {
+		sb.WriteString(tab.String())
+		sb.WriteByte('\n')
+	}
+	got := sb.String()
+	path := filepath.Join("testdata", "ablations_quick.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-golden): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("ablation tables drifted\n--- want ---\n%s\n--- got ---\n%s", want, got)
 	}
 }
 
