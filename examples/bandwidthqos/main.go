@@ -17,10 +17,9 @@ import (
 
 func main() {
 	const scale = 2e-3
-	plain := sched.New(sched.Options{Scale: scale})
-	qosCfg := machine.Default()
-	qosCfg.BandwidthQoS = true
-	qos := sched.New(sched.Options{Machine: &qosCfg, Scale: scale})
+	r := sched.New(sched.Options{Scale: scale})
+	qos := machine.Default()
+	qos.BandwidthQoS = true
 
 	hog := workload.MustByName("stream_uncached")
 	victims := []string{"462.libquantum", "470.lbm", "459.GemsFDTD", "fluidanimate", "batik"}
@@ -29,16 +28,13 @@ func main() {
 	fmt.Printf("%-16s  %-10s  %-10s\n", "victim", "no QoS", "with QoS")
 	for _, name := range victims {
 		app := workload.MustByName(name)
+		alone := sched.AloneHalfSpec(app)
+		pair := sched.PairSpec{Fg: app, Bg: hog, Mode: sched.BackgroundLoop}
 
-		base := plain.AloneHalf(app).JobByName(name).Seconds
-		noQ := plain.RunPair(sched.PairSpec{Fg: app, Bg: hog, Mode: sched.BackgroundLoop}).
-			JobByName(name).Seconds / base
-
-		baseQ := qos.AloneHalf(app).JobByName(name).Seconds
-		withQ := qos.RunPair(sched.PairSpec{Fg: app, Bg: hog, Mode: sched.BackgroundLoop}).
-			JobByName(name).Seconds / baseQ
-
-		fmt.Printf("%-16s  %9.2fx  %9.2fx\n", name, noQ, withQ)
+		// The default platform's runs, then the same two with QoS.
+		res := r.RunBatch([]sched.Spec{alone, pair, alone.Mix(qos), pair.Mix(qos)})
+		sec := func(i int) float64 { return res[i].JobByName(name).Seconds }
+		fmt.Printf("%-16s  %9.2fx  %9.2fx\n", name, sec(1)/sec(0), sec(3)/sec(2))
 	}
 
 	fmt.Println("\nCache partitioning cannot remove this interference (the hog's")

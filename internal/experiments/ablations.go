@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/machine"
@@ -32,50 +33,47 @@ import (
 //   - multibg:      one vs two background copies (§5.2's "more extreme
 //     cases" paragraph).
 
-// runnerWith builds a runner over a modified platform, sharing the
-// context's scale, worker count, and stat counters (so ablation
-// simulations show up in the shared engine footer) but not its
-// memoized results.
-func (c *Context) runnerWith(mut func(*machine.Config)) *sched.Runner {
+// variant returns the default platform with one change applied: the
+// hardware an ablation compares against the paper's.
+func variant(mut func(*machine.Config)) machine.Config {
 	cfg := machine.Default()
 	mut(&cfg)
-	return sched.New(sched.Options{Machine: &cfg, Scale: c.R.Scale(),
-		Parallelism: c.R.Parallelism(), Counters: c.R.Counters()})
+	return cfg
 }
 
 // AblationSmallLLC reruns the shared/fair/biased comparison for the
 // representative pairs on a 2 MB 8-way LLC.
 func (c *Context) AblationSmallLLC() *Table {
-	small := c.runnerWith(func(cfg *machine.Config) {
+	platforms := []machine.Config{machine.Default(), variant(func(cfg *machine.Config) {
 		cfg.Hier.LLC.SizeBytes = 2 << 20
 		cfg.Hier.LLC.Assoc = 8
-	})
-	big := c.R
+	})}
 
 	t := &Table{Title: "Ablation: 2MB/8-way LLC vs the 6MB/12-way platform (fg slowdown)",
 		Columns: []string{"pair", "6MB shared", "6MB biased", "2MB shared", "2MB biased"}}
 
-	// Submit both platforms' full pair sweeps to their runners up front.
-	var specs6, specs2 []sched.Spec
+	// Each pair's sweep on both platforms, all in one batch.
+	var sweeps [][]sched.Spec
 	for i, fg := range c.Reps {
 		for j, bg := range c.Reps {
-			if i == j {
-				continue
+			if i != j {
+				for _, cfg := range platforms {
+					sweeps = append(sweeps, policySweepSpecs(cfg, fg, bg))
+				}
 			}
-			specs6 = append(specs6, policySweepSpecs(big.MachineConfig(), fg, bg)...)
-			specs2 = append(specs2, policySweepSpecs(small.MachineConfig(), fg, bg)...)
 		}
 	}
-	warmAll([]*sched.Runner{big, small}, specs6, specs2)
+	results := c.runSweeps(sweeps)
 
 	var gain6, gain2 []float64
 	for i, fg := range c.Reps {
-		for j, bg := range c.Reps {
+		for j := range c.Reps {
 			if i == j {
 				continue
 			}
-			s6, b6 := policySlowdowns(big, fg, bg)
-			s2, b2 := policySlowdowns(small, fg, bg)
+			s6, b6 := policySlowdowns(results[0], fg)
+			s2, b2 := policySlowdowns(results[1], fg)
+			results = results[2:]
 			gain6 = append(gain6, s6-b6)
 			gain2 = append(gain2, s2-b2)
 			t.Add(fmt.Sprintf("C%d+C%d", i+1, j+1),
@@ -95,15 +93,14 @@ func (c *Context) AblationSmallLLC() *Table {
 func policySweepSpecs(cfg machine.Config, fg, bg *workload.Profile) []sched.Spec {
 	search := partition.SearchSpecs(cfg, fg, bg)
 	specs := []sched.Spec{search[0],
-		sched.PairSpec{Fg: fg, Bg: bg, Mode: sched.BackgroundLoop}}
+		sched.PairSpec{Fg: fg, Bg: bg, Mode: sched.BackgroundLoop}.Mix(cfg)}
 	return append(specs, search[1:]...)
 }
 
-// policySlowdowns returns (shared, best-split) fg slowdowns for a pair
-// on the given runner, running the sweep as one batch. The best split
-// is the minimum over the sweep, not a searcher's selection rule.
-func policySlowdowns(r *sched.Runner, fg, bg *workload.Profile) (float64, float64) {
-	results := r.RunBatch(policySweepSpecs(r.MachineConfig(), fg, bg))
+// policySlowdowns returns (shared, best-split) fg slowdowns from the
+// results of one pair's policySweepSpecs. The best split is the
+// minimum over the sweep, not a searcher's selection rule.
+func policySlowdowns(results []*machine.Result, fg *workload.Profile) (float64, float64) {
 	alone := results[0].JobByName(fg.Name).Seconds
 	shared := results[1].JobByName(fg.Name).Seconds / alone
 	best := shared
@@ -115,34 +112,64 @@ func policySlowdowns(r *sched.Runner, fg, bg *workload.Profile) (float64, float6
 	return shared, best
 }
 
+// runSweeps runs every sweep in one batch and returns each sweep's
+// results.
+func (c *Context) runSweeps(sweeps [][]sched.Spec) [][]*machine.Result {
+	results := c.R.RunBatch(slices.Concat(sweeps...))
+	out := make([][]*machine.Result, len(sweeps))
+	for i, s := range sweeps {
+		out[i], results = results[:len(s)], results[len(s):]
+	}
+	return out
+}
+
+// secondsOn runs every single spec on every platform in one batch and
+// returns each app's completion time: out[i][k] is specs[i] on
+// platforms[k].
+func (c *Context) secondsOn(specs []sched.SingleSpec, platforms ...machine.Config) [][]float64 {
+	sweeps := make([][]sched.Spec, len(specs))
+	for i, s := range specs {
+		for _, cfg := range platforms {
+			sweeps[i] = append(sweeps[i], s.Mix(cfg))
+		}
+	}
+	out := make([][]float64, len(specs))
+	for i, res := range c.runSweeps(sweeps) {
+		for _, r := range res {
+			out[i] = append(out[i], r.JobByName(specs[i].App.Name).Seconds)
+		}
+	}
+	return out
+}
+
 // AblationBandwidthQoS measures the worst bandwidth-driven slowdowns
 // with and without per-job DRAM bandwidth reservations.
 func (c *Context) AblationBandwidthQoS() *Table {
-	qos := c.runnerWith(func(cfg *machine.Config) { cfg.BandwidthQoS = true })
+	platforms := []machine.Config{machine.Default(),
+		variant(func(cfg *machine.Config) { cfg.BandwidthQoS = true })}
 	hog := workload.MustByName("stream_uncached")
 	victims := []string{"462.libquantum", "470.lbm", "459.GemsFDTD", "fluidanimate", "streamcluster", "batik"}
 
 	t := &Table{Title: "Ablation: memory-bandwidth QoS (slowdown vs stream_uncached hog)",
 		Columns: []string{"app", "no QoS", "with QoS"}}
 
-	var specs []sched.Spec
+	// Per victim and platform: the alone baseline, then the pair.
+	var sweeps [][]sched.Spec
 	for _, name := range victims {
 		app := workload.MustByName(name)
-		specs = append(specs,
-			sched.AloneHalfSpec(app),
-			sched.PairSpec{Fg: app, Bg: hog, Mode: sched.BackgroundLoop})
+		for _, cfg := range platforms {
+			sweeps = append(sweeps, []sched.Spec{sched.AloneHalfSpec(app).Mix(cfg),
+				sched.PairSpec{Fg: app, Bg: hog, Mode: sched.BackgroundLoop}.Mix(cfg)})
+		}
 	}
-	warmAll([]*sched.Runner{c.R, qos}, specs)
+	results := c.runSweeps(sweeps)
 
 	var without, with []float64
-	for _, name := range victims {
-		app := workload.MustByName(name)
-		base := c.R.AloneHalf(app).JobByName(name).Seconds
-		noQ := c.R.RunPair(sched.PairSpec{Fg: app, Bg: hog, Mode: sched.BackgroundLoop}).
-			JobByName(name).Seconds / base
-		baseQ := qos.AloneHalf(app).JobByName(name).Seconds
-		withQ := qos.RunPair(sched.PairSpec{Fg: app, Bg: hog, Mode: sched.BackgroundLoop}).
-			JobByName(name).Seconds / baseQ
+	for i, name := range victims {
+		slowdown := func(res []*machine.Result) float64 {
+			return res[1].JobByName(name).Seconds / res[0].JobByName(name).Seconds
+		}
+		noQ, withQ := slowdown(results[2*i]), slowdown(results[2*i+1])
 		without = append(without, noQ)
 		with = append(with, withQ)
 		t.Add(name, f(noQ), f(withQ))
@@ -155,19 +182,19 @@ func (c *Context) AblationBandwidthQoS() *Table {
 // AblationIndexing compares plain vs hashed LLC indexing on the
 // capacity curve of a high-utility application.
 func (c *Context) AblationIndexing() *Table {
-	plain := c.runnerWith(func(cfg *machine.Config) { cfg.Hier.LLC.HashIndex = false })
+	plain := variant(func(cfg *machine.Config) { cfg.Hier.LLC.HashIndex = false })
 	app := workload.MustByName("471.omnetpp")
 
 	t := &Table{Title: "Ablation: hashed vs plain LLC set indexing (471.omnetpp, 1 thread)",
 		Columns: []string{"ways", "hashed time(s)", "plain time(s)", "plain/hashed"}}
 
-	sweep := c.capacitySpecs(app, 1)
-	warmAll([]*sched.Runner{c.R, plain}, sweep)
-
-	for _, w := range c.WayPoints {
-		h := c.singleSeconds(app, 1, w)
-		p := plain.RunSingle(sched.SingleSpec{App: app, Threads: 1, Ways: w}).
-			JobByName(app.Name).Seconds
+	specs := make([]sched.SingleSpec, len(c.WayPoints))
+	for i, w := range c.WayPoints {
+		specs[i] = sched.SingleSpec{App: app, Threads: 1, Ways: w}
+	}
+	secs := c.secondsOn(specs, machine.Default(), plain)
+	for i, w := range c.WayPoints {
+		h, p := secs[i][0], secs[i][1]
 		t.Add(fmt.Sprintf("%d", w), fmt.Sprintf("%.4f", h), fmt.Sprintf("%.4f", p),
 			fmt.Sprintf("%.3f", p/h))
 	}
@@ -180,20 +207,16 @@ func (c *Context) AblationIndexing() *Table {
 func (c *Context) AblationReplacement() *Table {
 	t := &Table{Title: "Ablation: LLC replacement policy (time at 4 threads, full LLC)",
 		Columns: []string{"app", "plru(s)", "lru(s)", "random(s)", "lru/plru", "random/plru"}}
-	lru := c.runnerWith(func(cfg *machine.Config) { cfg.Hier.LLC.Replacement = cache.ReplaceLRU })
-	rnd := c.runnerWith(func(cfg *machine.Config) { cfg.Hier.LLC.Replacement = cache.ReplaceRandom })
+	lru := variant(func(cfg *machine.Config) { cfg.Hier.LLC.Replacement = cache.ReplaceLRU })
+	rnd := variant(func(cfg *machine.Config) { cfg.Hier.LLC.Replacement = cache.ReplaceRandom })
 
-	var specs []sched.Spec
-	for _, app := range c.Reps {
-		specs = append(specs, sched.SingleSpec{App: app, Threads: threadsFor(app, 4)})
+	specs := make([]sched.SingleSpec, len(c.Reps))
+	for i, app := range c.Reps {
+		specs[i] = sched.SingleSpec{App: app, Threads: threadsFor(app, 4)}
 	}
-	warmAll([]*sched.Runner{c.R, lru, rnd}, specs)
-
-	for _, app := range c.Reps {
-		th := threadsFor(app, 4)
-		p := c.singleSeconds(app, th, 0)
-		l := lru.RunSingle(sched.SingleSpec{App: app, Threads: th}).JobByName(app.Name).Seconds
-		r := rnd.RunSingle(sched.SingleSpec{App: app, Threads: th}).JobByName(app.Name).Seconds
+	secs := c.secondsOn(specs, machine.Default(), lru, rnd)
+	for i, app := range c.Reps {
+		p, l, r := secs[i][0], secs[i][1], secs[i][2]
 		t.Add(app.Name, fmt.Sprintf("%.4f", p), fmt.Sprintf("%.4f", l), fmt.Sprintf("%.4f", r),
 			fmt.Sprintf("%.3f", l/p), fmt.Sprintf("%.3f", r/p))
 	}
@@ -204,28 +227,22 @@ func (c *Context) AblationReplacement() *Table {
 // AblationInclusion quantifies how much of the small-allocation
 // pathology is inclusion victims.
 func (c *Context) AblationInclusion() *Table {
-	nonInc := c.runnerWith(func(cfg *machine.Config) { cfg.Hier.NonInclusiveLLC = true })
+	nonInc := variant(func(cfg *machine.Config) { cfg.Hier.NonInclusiveLLC = true })
 	t := &Table{Title: "Ablation: inclusive vs non-inclusive LLC at small allocations",
 		Columns: []string{"app", "ways", "inclusive(s)", "non-inclusive(s)", "inclusion cost"}}
 
-	var specs []sched.Spec
+	var specs []sched.SingleSpec
 	for _, name := range []string{"429.mcf", "471.omnetpp", "h2"} {
 		app := workload.MustByName(name)
 		for _, w := range []int{1, 2, 12} {
 			specs = append(specs, sched.SingleSpec{App: app, Threads: 1, Ways: w})
 		}
 	}
-	warmAll([]*sched.Runner{c.R, nonInc}, specs)
-
-	for _, name := range []string{"429.mcf", "471.omnetpp", "h2"} {
-		app := workload.MustByName(name)
-		for _, w := range []int{1, 2, 12} {
-			inc := c.singleSeconds(app, 1, w)
-			non := nonInc.RunSingle(sched.SingleSpec{App: app, Threads: 1, Ways: w}).
-				JobByName(name).Seconds
-			t.Add(name, fmt.Sprintf("%d", w), fmt.Sprintf("%.4f", inc),
-				fmt.Sprintf("%.4f", non), pct(inc/non))
-		}
+	secs := c.secondsOn(specs, machine.Default(), nonInc)
+	for i, s := range specs {
+		inc, non := secs[i][0], secs[i][1]
+		t.Add(s.App.Name, fmt.Sprintf("%d", s.Ways), fmt.Sprintf("%.4f", inc),
+			fmt.Sprintf("%.4f", non), pct(inc/non))
 	}
 	t.Note("§3.2: inclusivity issues for inner cache levels amplify the 0.5MB direct-mapped pathology; a non-inclusive LLC shields the private caches")
 	return t

@@ -7,7 +7,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -54,34 +53,6 @@ func NewQuickContext(opt sched.Options) *Context {
 	c.ThreadPoints = []int{1, 2, 4, 8}
 	c.WayPoints = []int{1, 2, 4, 6, 8, 10, 12}
 	return c
-}
-
-// warmAll warms the same (or per-runner) sweeps on several runners
-// concurrently, so an ablation's platform variants overlap instead of
-// serializing behind one barrier per runner. sweeps[i] goes to
-// runners[i]; a single sweep fans out to every runner. Each runner
-// brings its own worker pool, so N runners oversubscribe the CPU up to
-// Nx — work-conserving, and for the 2-3 platform variants the
-// ablations compare, cheaper than threading a shared semaphore through
-// nested batches.
-func warmAll(runners []*sched.Runner, sweeps ...[]sched.Spec) {
-	if len(sweeps) != 1 && len(sweeps) != len(runners) {
-		panic(fmt.Sprintf("experiments: warmAll with %d runners and %d sweeps",
-			len(runners), len(sweeps)))
-	}
-	var wg sync.WaitGroup
-	for i, r := range runners {
-		sweep := sweeps[0]
-		if len(sweeps) > 1 {
-			sweep = sweeps[i]
-		}
-		wg.Add(1)
-		go func(r *sched.Runner, specs []sched.Spec) {
-			defer wg.Done()
-			r.Warm(specs)
-		}(r, sweep)
-	}
-	wg.Wait()
 }
 
 // submit fans a figure's sweep across the runner's worker pool before

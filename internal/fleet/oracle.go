@@ -40,8 +40,7 @@ type pairPerf struct {
 // All memoizable specs use the canonical mix shapes, so a fleet run
 // deduplicates against pair/single runs any other driver has done.
 type oracle struct {
-	cfg      machine.Config
-	override bool // cfg differs from the runner's template
+	cfg machine.Config
 
 	idleSocketW float64
 	idleWallW   float64
@@ -106,16 +105,7 @@ func (o *oracle) setAlone(name string, res *machine.Result, scale float64) error
 
 // halfMixes builds the canonical mix shapes on the fleet's platform.
 type halfMixes struct {
-	cfg      machine.Config
-	override bool
-}
-
-func (h halfMixes) machine() *machine.Config {
-	if !h.override {
-		return nil
-	}
-	cfg := h.cfg
-	return &cfg
+	cfg machine.Config
 }
 
 // aloneMix is an application alone on the front half: the same shape
@@ -129,7 +119,7 @@ func (h halfMixes) aloneMix(app *workload.Profile) sched.MixSpec {
 	}
 	return sched.MixSpec{
 		Jobs:    []sched.MixJob{{App: app, Threads: threads, Slots: slots, Seed: "single"}},
-		Machine: h.machine(),
+		Machine: sched.Platform(h.cfg),
 	}
 }
 
@@ -153,7 +143,7 @@ func (h halfMixes) pairMix(fg, bg *workload.Profile) partition.Mix {
 				{App: bg, Threads: sched.CapThreads(bg, htPerHalf),
 					Slots: h.cfg.SlotsForCores(backCores...), Background: true, Seed: "bg"},
 			},
-			Machine: h.machine(),
+			Machine: sched.Platform(h.cfg),
 		},
 		Latency: []bool{true, false},
 	}
@@ -171,18 +161,17 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 	// path ends it with pair-table attrs first.
 	defer osp.End()
 	cfg := r.MachineConfig()
-	override := false
 	if d.Cores > 0 && d.Cores != cfg.Cores {
-		cfg, override = machine.DefaultWithCores(d.Cores), true
+		cfg = machine.DefaultWithCores(d.Cores)
 	}
 	if cfg.Cores < 2 || cfg.Cores%2 != 0 {
 		return nil, fmt.Errorf("fleet: machines need an even core count >= 2, got %d", cfg.Cores)
 	}
-	h := halfMixes{cfg: cfg, override: override}
+	h := halfMixes{cfg: cfg}
 	assoc := cfg.Hier.LLC.Assoc
 
 	o := &oracle{
-		cfg: cfg, override: override,
+		cfg:         cfg,
 		idleSocketW: cfg.Energy.IdlePowerSocket(cfg.Cores),
 		idleWallW:   cfg.Energy.IdlePowerWall(cfg.Cores),
 		fid:         FidelityExact,

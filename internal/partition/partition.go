@@ -59,10 +59,10 @@ func searchPlan(s Searcher, cfg machine.Config, fg, bg *workload.Profile) *Plan 
 
 // SearchSpecs lists every run the exhaustive biased search for a pair
 // needs on the given platform — the foreground-alone baseline plus each
-// uneven split — so experiment drivers can batch the searches of many
-// pairs up front.
+// uneven split, all on that platform — so experiment drivers can batch
+// the searches of many pairs up front.
 func SearchSpecs(cfg machine.Config, fg, bg *workload.Profile) []sched.Spec {
-	return append([]sched.Spec{sched.AloneHalfSpec(fg)}, searchPlan(biasedPolicy{}, cfg, fg, bg).Specs()...)
+	return append([]sched.Spec{sched.AloneHalfSpec(fg).Mix(cfg)}, searchPlan(biasedPolicy{}, cfg, fg, bg).Specs()...)
 }
 
 // Candidate is one allocation's measured (or, on the fast tier,
@@ -120,11 +120,11 @@ func PickForForeground(cands []Candidate) int {
 	return best
 }
 
-// BestSplit exhaustively evaluates every uneven split of the runner's
-// LLC (foreground w ways, background the remaining assoc-w, for w in
-// [1, assoc-1]) with the background running continuously, and returns
-// the choice the searcher's selection rule picks. The splits run as
-// one batch across the engine's workers.
+// BestSplit exhaustively evaluates every uneven split of the default
+// platform's LLC (foreground w ways, background the remaining assoc-w,
+// for w in [1, assoc-1]) with the background running continuously, and
+// returns the choice the searcher's selection rule picks. The splits
+// run as one batch across the engine's workers.
 func BestSplit(r *sched.Runner, s Searcher, fg, bg *workload.Profile) BiasedChoice {
 	cfg := r.MachineConfig()
 	plan := searchPlan(s, cfg, fg, bg)

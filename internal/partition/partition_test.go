@@ -72,27 +72,27 @@ func TestBestBiasedSearch(t *testing.T) {
 	}
 }
 
-// TestBestBiasedSmallLLC: the search sweeps the runner's own LLC. On
-// the small-LLC ablation platform (2 MB, 8 ways) the chosen split lies
-// in [1,7] and is the searcher's Pick over that runner's sweep.
+// TestBestBiasedSmallLLC: the search sweeps the LLC of the platform
+// its specs name. On the small-LLC ablation platform (2 MB, 8 ways),
+// run on a default runner, SearchSpecs lists the baseline and 7
+// splits, and the plan's Harvest picks the searcher's choice over that
+// sweep, a split in [1,7].
 func TestBestBiasedSmallLLC(t *testing.T) {
 	cfg := machine.Default()
 	cfg.Hier.LLC.SizeBytes = 2 << 20
 	cfg.Hier.LLC.Assoc = 8
-	r := sched.New(sched.Options{Machine: &cfg, Scale: 3e-4})
+	r := sched.New(sched.Options{Scale: 3e-4})
 	fg := workload.MustByName("429.mcf")
 	bg := workload.MustByName("ferret")
-
-	ch := BestBiased(r, fg, bg)
-	if ch.FgWays < 1 || ch.FgWays > 7 || ch.FgWays+ch.BgWays != 8 {
-		t.Fatalf("split %d+%d on an 8-way LLC", ch.FgWays, ch.BgWays)
-	}
 
 	specs := SearchSpecs(cfg, fg, bg)
 	if len(specs) != 8 {
 		t.Fatalf("%d search specs, want the baseline plus 7 splits", len(specs))
 	}
 	results := r.RunBatch(specs)
+	if small, def := results[0], r.AloneHalf(fg); small.Jobs[0].Seconds == def.Jobs[0].Seconds {
+		t.Fatal("the baseline ran on the default platform, not the 8-way one")
+	}
 	alone := results[0].Jobs[0].Seconds
 	var cands []Candidate
 	for w := 1; w < 8; w++ {
@@ -106,8 +106,16 @@ func TestBestBiasedSmallLLC(t *testing.T) {
 			BgThroughput: res.Jobs[1].Iterations,
 		})
 	}
-	if want := cands[PickBiased(cands)].FgWays; ch.FgWays != want {
-		t.Fatalf("BestBiased chose %d ways, Pick over the 8-way sweep chose %d", ch.FgWays, want)
+	plan, err := PairPlan(MustNew("biased", nil), cfg, r.Scale(), fg, bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := plan.Harvest(results[1:], alone)
+	if out.LatencyWays < 1 || out.LatencyWays > 7 {
+		t.Fatalf("split %d ways on an 8-way LLC", out.LatencyWays)
+	}
+	if want := cands[PickBiased(cands)].FgWays; out.LatencyWays != want {
+		t.Fatalf("the plan chose %d ways, Pick over the 8-way sweep chose %d", out.LatencyWays, want)
 	}
 }
 

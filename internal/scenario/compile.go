@@ -43,7 +43,6 @@ func (i Instance) WaysLabel() string {
 type Plan struct {
 	Scenario  *Scenario
 	Config    machine.Config
-	Overrides bool // Config differs from the runner's template
 	Instances []Instance
 
 	pricing *partition.Plan // the partition policy priced on this mix
@@ -68,11 +67,11 @@ func (s *Scenario) plan(base machine.Config, scale float64) (*Plan, error) {
 	if s.Fleet != nil {
 		return nil, fmt.Errorf("scenario %q: fleet scenarios run on the fleet layer; use 'cachepart fleet run' or fleet.Run", s.Name)
 	}
-	cfg, override := base, false
+	cfg := base
 	if s.Machine.Cores > 0 && s.Machine.Cores != base.Cores {
 		// A core-count override rebuilds the default platform at that
 		// size; scenario machines always use the paper's geometry.
-		cfg, override = machine.DefaultWithCores(s.Machine.Cores), true
+		cfg = machine.DefaultWithCores(s.Machine.Cores)
 	}
 
 	// Expand replicas and assign seeds.
@@ -195,7 +194,7 @@ func (s *Scenario) plan(base machine.Config, scale float64) (*Plan, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", s.Name, err)
 	}
-	plan := &Plan{Scenario: s, Config: cfg, Overrides: override, Instances: insts}
+	plan := &Plan{Scenario: s, Config: cfg, Instances: insts}
 	mix := partition.Mix{Spec: plan.baseMix(),
 		Latency: make([]bool, len(insts)), Declared: make([][2]int, len(insts))}
 	for i, inst := range insts {
@@ -220,12 +219,7 @@ func (p *Plan) baseMix() sched.MixSpec {
 			Background: inst.Loop, Seed: inst.Seed,
 		}
 	}
-	spec := sched.MixSpec{Jobs: jobs}
-	if p.Overrides {
-		cfg := p.Config
-		spec.Machine = &cfg
-	}
-	return spec
+	return sched.MixSpec{Jobs: jobs, Machine: sched.Platform(p.Config)}
 }
 
 // aloneMix is instance i's baseline: the same placement and seed alone
@@ -233,14 +227,9 @@ func (p *Plan) baseMix() sched.MixSpec {
 // reference the slowdown and weighted-speedup metrics normalize to.
 func (p *Plan) aloneMix(i int) sched.MixSpec {
 	inst := p.Instances[i]
-	spec := sched.MixSpec{Jobs: []sched.MixJob{{
+	return sched.MixSpec{Jobs: []sched.MixJob{{
 		App: inst.App, Threads: inst.Threads, Slots: inst.Slots, Seed: inst.Seed,
-	}}}
-	if p.Overrides {
-		cfg := p.Config
-		spec.Machine = &cfg
-	}
-	return spec
+	}}, Machine: sched.Platform(p.Config)}
 }
 
 // Compile builds the runnable, memoizable spec for an offline-policy

@@ -307,8 +307,16 @@ func TestMachineOverrideAndOverSubscription(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Config.Cores != 12 || !p.Overrides {
-		t.Fatalf("override config: %d cores, override=%v", p.Config.Cores, p.Overrides)
+	if p.Config.Cores != 12 {
+		t.Fatalf("override config: %d cores", p.Config.Cores)
+	}
+	// The compiled mix names its platform itself.
+	mix, err := s.Compile(machine.Default())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mix.Machine == nil || mix.Machine.Cores != 12 {
+		t.Fatalf("compiled mix platform %v, want the 12-core machine", mix.Machine)
 	}
 	if len(p.Instances) != 10 {
 		t.Fatalf("%d instances", len(p.Instances))

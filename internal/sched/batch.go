@@ -275,8 +275,7 @@ func (s Stats) Delta(before Stats) Stats {
 	}
 }
 
-// Stats returns the runner's counters (shared ones, if Options.Counters
-// linked several runners). Deltas around an experiment give
+// Stats returns the runner's counters. Deltas around an experiment give
 // per-experiment speedup: (busy after - busy before) / wall time. Every
 // counter is read with an atomic load, so Stats is safe to call from
 // any goroutine while runs are in flight — progress pollers (the serve

@@ -45,9 +45,10 @@ type MixJob struct {
 // spec type described them.
 type MixSpec struct {
 	Jobs []MixJob
-	// Machine overrides the runner's platform template for this mix
-	// (scenario files declaring a larger machine use this); nil keeps
-	// the runner's configuration.
+	// Machine is the platform the mix runs on; nil means
+	// machine.Default(). It is the only place a platform is named (the
+	// runner has none), so the memo key always sees it. Builders set it
+	// through Platform.
 	Machine *machine.Config
 	// Prefetch overrides the platform prefetcher configuration.
 	Prefetch *prefetch.Config
@@ -74,17 +75,35 @@ type MixSpec struct {
 	ProbeKey string
 }
 
+// defaultPlatform is machine.Default(), built once: specs without a
+// Machine run on it, and keys compare against it.
+var defaultPlatform = machine.Default()
+
+// Platform returns the MixSpec.Machine value naming cfg: nil for the
+// default platform, so its specs keep the short "def" key and skip the
+// copy, and a private copy of any other configuration.
+func Platform(cfg machine.Config) *machine.Config {
+	if cfg == defaultPlatform {
+		return nil
+	}
+	c := cfg
+	return &c
+}
+
 // memoKey renders the canonical key: every input the execution depends
 // on — platform, scale, prefetchers, and each job's identity, capped
 // threads, placement, role, seed, and way range. Specs that reduce to
-// the same mix therefore share one cache entry.
+// the same mix therefore share one cache entry. The default platform
+// keys as "def" whether Machine is nil or names it; any other platform
+// renders every field of its configuration (all plain values, so the
+// rendering is deterministic).
 //
 // Keys are built with strconv appends rather than fmt: RunBatch and
 // Warm render one per submitted spec before any simulation runs, so key
 // construction sits on the engine's warm path. The rendered text is
 // unchanged from the fmt version (floats use the same shortest
 // round-trip form as %g, bools the same true/false as %v); only the
-// uncommon Machine-override branch still pays for reflection.
+// uncommon non-default platform branch still pays for reflection.
 func (s MixSpec) memoKey(r *Runner) string {
 	if s.Setup != nil && s.PolicyKey == "" && s.ProbeKey == "" {
 		return ""
@@ -95,7 +114,7 @@ func (s MixSpec) memoKey(r *Runner) string {
 	buf = append(buf, "|pf"...)
 	buf = append(buf, pfKey(s.Prefetch)...)
 	buf = append(buf, "|m"...)
-	if s.Machine != nil {
+	if s.Machine != nil && *s.Machine != defaultPlatform {
 		buf = fmt.Appendf(buf, "%+v", *s.Machine)
 	} else {
 		buf = append(buf, "def"...)
@@ -144,8 +163,8 @@ func (s MixSpec) memoKey(r *Runner) string {
 }
 
 // config returns the platform this mix runs on.
-func (s MixSpec) config(r *Runner) machine.Config {
-	cfg := r.opt.machineConfig()
+func (s MixSpec) config() machine.Config {
+	cfg := defaultPlatform
 	if s.Machine != nil {
 		cfg = *s.Machine
 	}
@@ -174,7 +193,7 @@ func (s MixSpec) execute(r *Runner) *machine.Result {
 	if len(s.Jobs) == 0 {
 		panic("sched: empty mix")
 	}
-	cfg := s.config(r)
+	cfg := s.config()
 	m := machine.New(cfg)
 
 	jobs := make([]*machine.Job, len(s.Jobs))

@@ -48,10 +48,9 @@ const DefaultScale = 2e-3
 // little for publication-quality aggregates.
 const QuickScale = 3e-4
 
-// Options configure a runner.
+// Options configure a runner. A runner has no platform of its own:
+// each spec names the one it runs on (MixSpec.Machine).
 type Options struct {
-	// Machine is the platform template; zero value means machine.Default().
-	Machine *machine.Config
 	// Scale multiplies nominal instruction counts (0 = DefaultScale).
 	Scale float64
 	// DisableCache bypasses the memoized run cache (in-memory and disk).
@@ -68,11 +67,6 @@ type Options struct {
 	// simulations and fleet policy episodes alike (0 = GOMAXPROCS,
 	// 1 = serial).
 	Parallelism int
-	// Counters, if non-nil, is where this runner accumulates its
-	// execution stats. Pass another runner's Counters() to report
-	// several runners (e.g. an ablation's modified platforms) as one
-	// engine. Nil means private counters.
-	Counters *Counters
 	// Tracer, if non-nil, receives a span per executed simulation and
 	// per batch. Nil (the default) is a strict no-op: the hot path pays
 	// one nil check and no timing ever influences results — memo keys,
@@ -83,13 +77,6 @@ type Options struct {
 	// (full disk, revoked permissions). Nil means os.Stderr. Warnings
 	// never influence results.
 	WarnLog io.Writer
-}
-
-func (o Options) machineConfig() machine.Config {
-	if o.Machine != nil {
-		return *o.Machine
-	}
-	return machine.Default()
 }
 
 func (o Options) scale() float64 {
@@ -129,11 +116,8 @@ type flight struct {
 	res  *machine.Result
 }
 
-// Counters accumulates engine activity. Runners normally own a private
-// set; pass one runner's Counters() to another's Options to account
-// for both as one engine (the ablation studies do this so their
-// private-platform runners show up in the shared footer).
-type Counters struct {
+// counters accumulates a runner's engine activity.
+type counters struct {
 	sims      atomic.Uint64 // simulations actually executed
 	hits      atomic.Uint64 // memo lookups satisfied without a new run
 	diskHits  atomic.Uint64 // results loaded from the persistent store
@@ -175,7 +159,7 @@ const (
 	PhaseQueueWait = "queue-wait"
 )
 
-func (c *Counters) phase(name string) *phaseAccum {
+func (c *counters) phase(name string) *phaseAccum {
 	if p, ok := c.phases.Load(name); ok {
 		return p.(*phaseAccum)
 	}
@@ -183,14 +167,14 @@ func (c *Counters) phase(name string) *phaseAccum {
 	return p.(*phaseAccum)
 }
 
-func (c *Counters) addPhase(name string, d time.Duration) {
+func (c *counters) addPhase(name string, d time.Duration) {
 	p := c.phase(name)
 	p.count.Add(1)
 	p.nanos.Add(int64(d))
 }
 
 // phaseStats snapshots the per-phase accumulators, sorted by name.
-func (c *Counters) phaseStats() []PhaseStat {
+func (c *counters) phaseStats() []PhaseStat {
 	var out []PhaseStat
 	c.phases.Range(func(k, v any) bool {
 		p := v.(*phaseAccum)
@@ -238,7 +222,7 @@ func shardFor(key string) uint64 {
 // All methods are safe for concurrent use.
 type Runner struct {
 	opt   Options
-	ctr   *Counters
+	ctr   counters
 	store *diskStore // nil without Options.CacheDir
 
 	warnOnce sync.Once // gates the store-write warning to one line per runner
@@ -263,11 +247,7 @@ func (r *Runner) warnStoreWrite(err error) {
 // New builds a runner. An Options.CacheDir that cannot be created
 // panics — validate user-supplied paths with ValidateCacheDir first.
 func New(opt Options) *Runner {
-	ctr := opt.Counters
-	if ctr == nil {
-		ctr = &Counters{}
-	}
-	r := &Runner{opt: opt, ctr: ctr}
+	r := &Runner{opt: opt}
 	for i := range r.shards {
 		r.shards[i].cache = make(map[string]*flight)
 	}
@@ -292,16 +272,12 @@ func ValidateCacheDir(dir string) error {
 // Scale returns the effective instruction scale.
 func (r *Runner) Scale() float64 { return r.opt.scale() }
 
-// MachineConfig returns the platform template specs run on (the
-// scenario compiler plans placements against it).
-func (r *Runner) MachineConfig() machine.Config { return r.opt.machineConfig() }
+// MachineConfig returns the default platform, machine.Default(), which
+// specs without a MixSpec.Machine run on.
+func (r *Runner) MachineConfig() machine.Config { return defaultPlatform }
 
 // Parallelism returns the effective worker count.
 func (r *Runner) Parallelism() int { return r.opt.parallelism() }
-
-// Counters returns the runner's stat accumulator, shareable through
-// Options.Counters.
-func (r *Runner) Counters() *Counters { return r.ctr }
 
 // Tracer returns the runner's tracer — nil when tracing is off, which
 // every obs call site treats as a no-op.
@@ -444,7 +420,8 @@ func resultApps(res *machine.Result) string {
 
 // SingleSpec describes an application running alone. It is a thin
 // wrapper over the general MixSpec: a one-job mix with pack placement
-// from slot 0 and the first Ways LLC ways.
+// from slot 0 and the first Ways LLC ways. Run directly as a Spec it
+// builds on the default platform; Mix builds it on any other.
 type SingleSpec struct {
 	App     *workload.Profile
 	Threads int // capped by the profile's MaxThreads
@@ -453,16 +430,16 @@ type SingleSpec struct {
 	Prefetch *prefetch.Config
 }
 
-// toMix builds the scenario this spec denotes. Threads fill both
-// hyperthreads of each core before the next core (the paper's
-// assignment order).
-func (s SingleSpec) toMix(r *Runner) MixSpec {
+// Mix builds the scenario this spec denotes on the given platform.
+// Threads fill both hyperthreads of each core before the next core (the
+// paper's assignment order).
+func (s SingleSpec) Mix(cfg machine.Config) MixSpec {
 	threads := CapThreads(s.App, s.Threads)
 	slots := make([]int, threads)
 	for i := range slots {
 		slots[i] = i // slot order = HT0/HT1 of core 0, then core 1, ...
 	}
-	if s.Ways < 0 || s.Ways > r.opt.machineConfig().Hier.LLC.Assoc {
+	if s.Ways < 0 || s.Ways > cfg.Hier.LLC.Assoc {
 		panic(fmt.Sprintf("sched: invalid single allocation of %d ways", s.Ways))
 	}
 	return MixSpec{
@@ -470,13 +447,14 @@ func (s SingleSpec) toMix(r *Runner) MixSpec {
 			App: s.App, Threads: threads, Slots: slots,
 			Seed: "single", WayLim: s.Ways,
 		}},
+		Machine:  Platform(cfg),
 		Prefetch: s.Prefetch,
 	}
 }
 
-func (s SingleSpec) memoKey(r *Runner) string { return s.toMix(r).memoKey(r) }
+func (s SingleSpec) memoKey(r *Runner) string { return s.Mix(defaultPlatform).memoKey(r) }
 
-func (s SingleSpec) execute(r *Runner) *machine.Result { return s.toMix(r).execute(r) }
+func (s SingleSpec) execute(r *Runner) *machine.Result { return s.Mix(defaultPlatform).execute(r) }
 
 // RunSingle executes an application alone on the machine: threads fill
 // both hyperthreads of each core before the next core (the paper's
@@ -500,7 +478,8 @@ const (
 
 // PairSpec describes a co-scheduled foreground/background pair. The
 // foreground is pinned to cores 0-1 (4 hyperthreads), the background to
-// cores 2-3, matching §5's placement.
+// cores 2-3, matching §5's placement. Run directly as a Spec it builds
+// on the default platform; Mix builds it on any other.
 type PairSpec struct {
 	Fg, Bg *workload.Profile
 	// FgWays/BgWays give each side's LLC allocation. Both zero = fully
@@ -544,6 +523,7 @@ func (s PairSpec) Mix(cfg machine.Config) MixSpec {
 				Background: s.Mode == BackgroundLoop,
 				Seed:       "bg", WayFirst: bgFirst, WayLim: bgLim},
 		},
+		Machine:  Platform(cfg),
 		Prefetch: s.Prefetch,
 	}
 	if s.Setup != nil {
@@ -555,11 +535,9 @@ func (s PairSpec) Mix(cfg machine.Config) MixSpec {
 	return mix
 }
 
-func (s PairSpec) memoKey(r *Runner) string { return s.Mix(r.opt.machineConfig()).memoKey(r) }
+func (s PairSpec) memoKey(r *Runner) string { return s.Mix(defaultPlatform).memoKey(r) }
 
-func (s PairSpec) execute(r *Runner) *machine.Result {
-	return s.Mix(r.opt.machineConfig()).execute(r)
-}
+func (s PairSpec) execute(r *Runner) *machine.Result { return s.Mix(defaultPlatform).execute(r) }
 
 // RunPair executes a pair scenario. Runs with a Setup hook are not
 // memoized (the hook may close over external state).

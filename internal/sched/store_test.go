@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/workload"
 )
 
@@ -182,5 +183,34 @@ func TestDiskStoreBatchParallel(t *testing.T) {
 	}
 	if !reflect.DeepEqual(cold, warm) {
 		t.Fatal("warm batch results differ from cold batch")
+	}
+}
+
+// A spec names its platform, so one store serves several platforms
+// without aliasing: 429.mcf's alone-half run on the default platform
+// and on the 2 MB/8-way LLC are two simulations and two records, and a
+// second runner on the directory replays both.
+func TestDiskStoreKeyedByPlatform(t *testing.T) {
+	dir := t.TempDir()
+	def := AloneHalfSpec(workload.MustByName("429.mcf"))
+	specs := []Spec{def, def.Mix(smallLLC)}
+
+	r1 := New(Options{Scale: QuickScale, CacheDir: dir})
+	cold := []*machine.Result{r1.Run(specs[0]), r1.Run(specs[1])}
+	if st := r1.Stats(); st.Simulations != 2 || st.MemoHits != 0 || st.DiskHits != 0 {
+		t.Fatalf("cold: %d sims, %d memo hits, %d disk hits; want the variant simulated too (2, 0, 0)",
+			st.Simulations, st.MemoHits, st.DiskHits)
+	}
+	if a, b := cold[0].Jobs[0].Seconds, cold[1].Jobs[0].Seconds; a == b {
+		t.Fatalf("both platforms ran in %g s", a)
+	}
+
+	r2 := New(Options{Scale: QuickScale, CacheDir: dir})
+	warm := r2.RunBatch(specs)
+	if st := r2.Stats(); st.Simulations != 0 || st.DiskHits != 2 {
+		t.Fatalf("warm: %d sims, %d disk hits; want 0, 2", st.Simulations, st.DiskHits)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatal("replayed results differ from the simulated ones")
 	}
 }
