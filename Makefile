@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench profile lint ci
+.PHONY: build test race allocs bench profile lint ci
 
 build:
 	$(GO) build ./...
@@ -15,9 +15,16 @@ test:
 race:
 	$(GO) test -race -timeout 30m ./...
 
-# One iteration per paper figure; doubles as a regression smoke test.
+# Allocation pins without -race, which changes allocation counts (the
+# fleet pin skips under it).
+allocs:
+	$(GO) test ./internal/fleet -run TestSimRunAllocationFree -v
+	$(GO) test ./internal/cache ./internal/trace -run 'ZeroAllocs$$'
+
+# One iteration per paper figure, benchmarks only (race and allocs run
+# the unit tests).
 bench:
-	$(GO) test -bench=. -benchtime=1x ./...
+	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
 
 # Profiling workflow (see DESIGN.md "Performance"): cpuprofile one root
 # benchmark (BENCH, default the scenario-mix hot path) and print the top
@@ -43,4 +50,4 @@ lint:
 		echo "staticcheck not installed; skipped (CI runs it)"; \
 	fi
 
-ci: build lint race bench
+ci: build lint race allocs bench

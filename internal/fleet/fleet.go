@@ -96,8 +96,8 @@ func ParseFidelity(s string) (Fidelity, error) {
 type Def struct {
 	// Machines is the pool size.
 	Machines int `json:"machines"`
-	// Cores overrides the per-machine core count (0 = the runner's
-	// platform template; must be even — each machine splits into a
+	// Cores overrides the per-machine core count (0 = the default
+	// platform's; must be even — each machine splits into a
 	// latency half and a batch half, the paper's §5 placement).
 	Cores int `json:"cores,omitempty"`
 	// Duration is the arrival-trace length in simulated seconds;
