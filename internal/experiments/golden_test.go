@@ -75,6 +75,51 @@ func TestAblationGoldens(t *testing.T) {
 	}
 }
 
+// TestCharacterizationGoldens pins the characterization and
+// co-scheduling tables at the quickAt scope, one golden for all of
+// them: Figures 1-4, Tables 1 and 2, Figure 5 / Table 3 with its
+// dendrogram, Figures 6-8, and the headline table. Together with the
+// Fig 9, consolidation and ablation goldens it covers every driver, so
+// a change to how a driver batches its sweep must leave these bytes
+// alone. Regenerate with -update-golden.
+func TestCharacterizationGoldens(t *testing.T) {
+	c := quickAt(0)
+	table1, _ := c.Table1Scalability()
+	fig5 := c.Fig5Clustering()
+	var sb strings.Builder
+	for _, s := range []string{
+		c.Fig1ThreadScalability().String(),
+		table1.String(),
+		c.Fig2LLCSensitivity().String(),
+		c.Table2LLCUtility().Table.String(),
+		c.Fig3Prefetchers().String(),
+		c.Fig4Bandwidth().String(),
+		fig5.Table.String() + "\ndendrogram:\n" + fig5.Dendrogram,
+		c.Fig6AllocationSpace().String(),
+		c.Fig7YieldableCapacity().String(),
+		c.Fig8Heatmap(nil, nil).Table.String(),
+		c.Headline().Table.String(),
+	} {
+		sb.WriteString(s)
+		sb.WriteByte('\n')
+	}
+	got := sb.String()
+	path := filepath.Join("testdata", "characterization_quick.golden")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update-golden): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("characterization tables drifted\n--- want ---\n%s\n--- got ---\n%s", want, got)
+	}
+}
+
 // TestConsolidationGoldens pins Figures 10 through 13 at quick scale
 // the same way TestFig9Golden pins Figure 9: the static-policy
 // consolidation accounting (Figs 10/11), the phase trace of the
