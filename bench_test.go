@@ -514,7 +514,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	instr := app.Instructions * 2e-3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.RunSingle(sched.SingleSpec{App: app, Threads: 4})
+		r.Run(sched.SingleSpec{App: app, Threads: 4})
 	}
 	b.ReportMetric(instr*float64(b.N)/b.Elapsed().Seconds(), "sim-instr/s")
 }

@@ -61,15 +61,6 @@ func engineFooter(wall float64, before, after sched.Stats, diskEnabled bool) str
 		disk, speedup, after.Parallelism)
 }
 
-// validateCacheDir surfaces an unusable -cache-dir as a normal CLI
-// error before any runner is built (sched.New panics on one).
-func validateCacheDir(dir string) error {
-	if dir == "" {
-		return nil
-	}
-	return sched.ValidateCacheDir(dir)
-}
-
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -241,7 +232,7 @@ func cmdRun(args []string) error {
 	if assoc := r.MachineConfig().Hier.LLC.Assoc; *ways < 0 || *ways > assoc {
 		return fmt.Errorf("run: ways %d out of [0,%d]", *ways, assoc)
 	}
-	res := r.RunSingle(sched.SingleSpec{App: p, Threads: *threads, Ways: *ways})
+	res := r.Run(sched.SingleSpec{App: p, Threads: *threads, Ways: *ways})
 	j := res.Jobs[0]
 	fmt.Printf("app=%s threads=%d ways=%d\n", p.Name, j.Threads, *ways)
 	fmt.Printf("  time       %.4f s (simulated)\n", j.Seconds)
@@ -305,8 +296,9 @@ func cmdPair(args []string) error {
 	if err != nil {
 		return err
 	}
-	alone := r.AloneHalf(fp).Jobs[0].Seconds
-	out := plan.Harvest(r.RunBatch(plan.Specs()), alone)
+	results := r.RunBatch(append([]sched.Spec{sched.AloneHalfSpec(fp)}, plan.Specs()...))
+	alone := results[0].Jobs[0].Seconds
+	out := plan.Harvest(results[1:], alone)
 	res := out.Main
 	fmt.Printf("fg=%s bg=%s policy=%s\n", fp.Name, bp.Name, *policy)
 	if fgW := out.Ways(0); fgW > 0 {
@@ -339,10 +331,11 @@ func cmdExp(args []string) error {
 	if *id == "" {
 		return fmt.Errorf("exp: -id is required")
 	}
-	if err := validateCacheDir(*cacheDir); err != nil {
+	cfg := core.RunConfig{Scale: *scale, Parallelism: *parallel, CacheDir: *cacheDir}
+	if err := cfg.Validate(); err != nil {
 		return err
 	}
-	opt := sched.Options{Scale: *scale, Parallelism: *parallel, CacheDir: *cacheDir}
+	opt := sched.Options{Scale: cfg.Scale, Parallelism: cfg.Parallelism, CacheDir: cfg.CacheDir}
 	var ctx *experiments.Context
 	if *quick {
 		ctx = experiments.NewQuickContext(opt)

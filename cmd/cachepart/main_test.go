@@ -53,6 +53,22 @@ func TestExperimentIDsAllDispatch(t *testing.T) {
 	}
 }
 
+// TestCmdExpValidation: exp rejects negative engine flags with the
+// same errors as run and pair, before any simulation starts.
+func TestCmdExpValidation(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-id", "abl-indexing", "-quick", "-scale", "-1"}, "core: scale -1 is negative"},
+		{[]string{"-id", "abl-indexing", "-quick", "-parallel", "-3"}, "core: parallelism -3 is negative"},
+	} {
+		if err := cmdExp(tc.args); err == nil || err.Error() != tc.want {
+			t.Errorf("exp %v: error %v, want %q", tc.args, err, tc.want)
+		}
+	}
+}
+
 func TestCmdListRuns(t *testing.T) {
 	if err := cmdList(); err != nil {
 		t.Fatal(err)

@@ -10,12 +10,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/scenario"
-	"repro/internal/sched"
 )
-
-// quickScale is the reduced instruction scale -quick runs at (the CI
-// smoke step); shared with the golden tests through sched.QuickScale.
-const quickScale = sched.QuickScale
 
 // cmdScenario dispatches the scenario subcommands:
 //

@@ -9,7 +9,8 @@
 // internal/ and the public entry point is internal/core.
 //
 // Experiments execute through the concurrent engine in internal/sched:
-// drivers submit each figure's full sweep as one batch, a worker pool
+// drivers submit each figure's full sweep as one batch and read every
+// table cell from the results it returns, a worker pool
 // (sched.Options.Parallelism, default GOMAXPROCS; the CLI's -parallel
 // flag) fans the independent simulations across CPUs, and singleflight
 // memoization runs each distinct configuration exactly once. Because

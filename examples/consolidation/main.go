@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
@@ -25,7 +26,7 @@ func main() {
 	r := sess.Runner()
 
 	fg, bg := workload.MustByName("429.mcf"), workload.MustByName("ferret")
-	alone := r.AloneHalf(fg).Jobs[0].Seconds
+	alone := r.Run(sched.AloneHalfSpec(fg)).Jobs[0].Seconds
 	fmt.Printf("foreground %s alone (2 cores / 4 HTs): %.4f s\n\n", fg.Name, alone)
 
 	fmt.Printf("co-scheduling %s (cores 0-1) with %s (cores 2-3):\n\n", fg.Name, bg.Name)

@@ -24,7 +24,7 @@ func main() {
 	// times over the foreground run (as 100 ms relates to the paper's
 	// multi-minute executions).
 	var ctl *partition.Loop
-	res := r.RunPair(sched.PairSpec{
+	res := r.Run(sched.PairSpec{
 		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
 		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
 			ctl = partition.AttachLoop(m,

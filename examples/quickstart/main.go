@@ -29,7 +29,7 @@ func main() {
 
 	var full float64
 	for _, ways := range []int{12, 8, 4, 2, 1} {
-		res := r.RunSingle(sched.SingleSpec{App: app, Threads: 1, Ways: ways})
+		res := r.Run(sched.SingleSpec{App: app, Threads: 1, Ways: ways})
 		j := res.Jobs[0]
 		if ways == 12 {
 			full = j.Seconds

@@ -14,7 +14,8 @@
 //	fg, bg := workload.MustByName("429.mcf"), workload.MustByName("ferret")
 //	plan, _ := partition.PairPlan(partition.MustNew("dynamic", nil),
 //		r.MachineConfig(), r.Scale(), fg, bg)
-//	out := plan.Harvest(r.RunBatch(plan.Specs()), r.AloneHalf(fg).Jobs[0].Seconds)
+//	alone := r.Run(sched.AloneHalfSpec(fg)).Jobs[0].Seconds
+//	out := plan.Harvest(r.RunBatch(plan.Specs()), alone)
 //	fmt.Println(out.Main.Jobs[0].Seconds, out.Reallocations)
 //
 // Everything deeper (cache geometry, prefetchers, energy coefficients,

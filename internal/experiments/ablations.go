@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/cache"
 	"repro/internal/machine"
@@ -110,17 +109,6 @@ func policySlowdowns(results []*machine.Result, fg *workload.Profile) (float64, 
 		}
 	}
 	return shared, best
-}
-
-// runSweeps runs every sweep in one batch and returns each sweep's
-// results.
-func (c *Context) runSweeps(sweeps [][]sched.Spec) [][]*machine.Result {
-	results := c.R.RunBatch(slices.Concat(sweeps...))
-	out := make([][]*machine.Result, len(sweeps))
-	for i, s := range sweeps {
-		out[i], results = results[:len(s)], results[len(s):]
-	}
-	return out
 }
 
 // secondsOn runs every single spec on every platform in one batch and
@@ -266,24 +254,20 @@ func (c *Context) AblationPrefetchers() *Table {
 	t := &Table{Title: "Ablation: per-prefetcher contribution (time normalized to all-off)"}
 	t.Columns = append([]string{"app"}, configNames(configs)...)
 
-	var specs []sched.Spec
-	for _, name := range apps {
+	sweeps := make([][]sched.Spec, len(apps))
+	for i, name := range apps {
 		app := workload.MustByName(name)
-		for i := range configs {
-			pf := configs[i].cfg
-			specs = append(specs, sched.SingleSpec{App: app, Threads: 4, Prefetch: &pf})
+		for k := range configs {
+			sweeps[i] = append(sweeps[i], sched.SingleSpec{App: app, Threads: 4, Prefetch: &configs[k].cfg})
 		}
 	}
-	c.submit(specs)
 
-	for _, name := range apps {
-		app := workload.MustByName(name)
+	for i, res := range c.runSweeps(sweeps) {
+		name := apps[i]
 		row := []string{name}
 		var offTime float64
-		for _, cc := range configs {
-			pf := cc.cfg
-			sec := c.R.RunSingle(sched.SingleSpec{App: app, Threads: 4, Prefetch: &pf}).
-				JobByName(name).Seconds
+		for k, cc := range configs {
+			sec := res[k].JobByName(name).Seconds
 			if cc.name == "all-off" {
 				offTime = sec
 			}
@@ -301,33 +285,30 @@ func (c *Context) AblationMultiBackground() *Table {
 	t := &Table{Title: "Ablation: one vs two background copies (fg slowdown, shared LLC)",
 		Columns: []string{"fg", "bg", "1 copy", "2 copies"}}
 
-	var specs []sched.Spec
+	// Per pair: the foreground alone, then beside one and two copies.
+	var pairs [][2]string
+	var sweeps [][]sched.Spec
 	for _, fgName := range []string{"429.mcf", "fop", "batik"} {
 		for _, bgName := range []string{"ferret", "canneal"} {
 			fg := workload.MustByName(fgName)
 			bg := workload.MustByName(bgName)
-			specs = append(specs,
+			pairs = append(pairs, [2]string{fgName, bgName})
+			sweeps = append(sweeps, []sched.Spec{
 				sched.AloneHalfSpec(fg),
 				c.multiRun(fg, bg, 1),
-				c.multiRun(fg, bg, 2))
+				c.multiRun(fg, bg, 2)})
 		}
 	}
-	c.submit(specs)
 
 	var one, two []float64
-	for _, fgName := range []string{"429.mcf", "fop", "batik"} {
-		for _, bgName := range []string{"ferret", "canneal"} {
-			fg := workload.MustByName(fgName)
-			bg := workload.MustByName(bgName)
-			alone := c.aloneHalfSeconds(fg)
-			s1 := c.R.Run(c.multiRun(fg, bg, 1)).
-				JobByName(fg.Name).Seconds / alone
-			s2 := c.R.Run(c.multiRun(fg, bg, 2)).
-				JobByName(fg.Name).Seconds / alone
-			one = append(one, s1)
-			two = append(two, s2)
-			t.Add(fgName, bgName, fmt.Sprintf("%.3f", s1), fmt.Sprintf("%.3f", s2))
-		}
+	for i, res := range c.runSweeps(sweeps) {
+		fgName := pairs[i][0]
+		alone := res[0].JobByName(fgName).Seconds
+		s1 := res[1].JobByName(fgName).Seconds / alone
+		s2 := res[2].JobByName(fgName).Seconds / alone
+		one = append(one, s1)
+		two = append(two, s2)
+		t.Add(fgName, pairs[i][1], fmt.Sprintf("%.3f", s1), fmt.Sprintf("%.3f", s2))
 	}
 	t.Note("avg slowdown %s with one copy vs %s with two (paper: additional copies only increase contention; already-degraded pairs degrade further)",
 		pct(stats.Mean(one)), pct(stats.Mean(two)))

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -38,7 +39,12 @@ func allocationSpecs(app *workload.Profile, threadPoints, wayPoints []int) ([]sc
 // batch; points come back in grid order.
 func (c *Context) AllocationSpace(app *workload.Profile, threadPoints, wayPoints []int) []AllocationPoint {
 	specs, coords := allocationSpecs(app, threadPoints, wayPoints)
-	results := c.R.RunBatch(specs)
+	return allocationPoints(app, coords, c.R.RunBatch(specs))
+}
+
+// allocationPoints reads one application's grid from the results of
+// its allocationSpecs.
+func allocationPoints(app *workload.Profile, coords [][2]int, results []*machine.Result) []AllocationPoint {
 	out := make([]AllocationPoint, len(results))
 	for i, res := range results {
 		j := res.JobByName(app.Name)
@@ -53,27 +59,29 @@ func (c *Context) AllocationSpace(app *workload.Profile, threadPoints, wayPoints
 	return out
 }
 
-// submitAllocationGrids batches every representative's full allocation
-// grid so Figures 6 and 7 assemble from memo hits.
-func (c *Context) submitAllocationGrids() {
-	var specs []sched.Spec
-	for _, app := range c.Reps {
-		s, _ := allocationSpecs(app, c.ThreadPoints, c.WayPoints)
-		specs = append(specs, s...)
+// allocationGrids runs every representative's full allocation grid
+// (Figures 6 and 7) as one batch and returns the grids in c.Reps order.
+func (c *Context) allocationGrids() [][]AllocationPoint {
+	sweeps := make([][]sched.Spec, len(c.Reps))
+	coords := make([][][2]int, len(c.Reps))
+	for i, app := range c.Reps {
+		sweeps[i], coords[i] = allocationSpecs(app, c.ThreadPoints, c.WayPoints)
 	}
-	c.submit(specs)
+	grids := make([][]AllocationPoint, len(c.Reps))
+	for i, res := range c.runSweeps(sweeps) {
+		grids[i] = allocationPoints(c.Reps[i], coords[i], res)
+	}
+	return grids
 }
 
 // Fig6AllocationSpace reproduces Figure 6: runtime, MPKI, socket and
 // wall energy for the full allocation grid of each representative.
 func (c *Context) Fig6AllocationSpace() *Table {
-	c.submitAllocationGrids()
 	t := &Table{Title: "Figure 6: allocation space of the cluster representatives",
 		Columns: []string{"app", "threads", "ways", "time(s)", "MPKI", "socket(J)", "wall(J)"}}
-	for _, app := range c.Reps {
-		pts := c.AllocationSpace(app, c.ThreadPoints, c.WayPoints)
+	for i, pts := range c.allocationGrids() {
 		for _, p := range pts {
-			t.Add(app.Name, fmt.Sprintf("%d", p.Threads), fmt.Sprintf("%d", p.Ways),
+			t.Add(c.Reps[i].Name, fmt.Sprintf("%d", p.Threads), fmt.Sprintf("%d", p.Ways),
 				fmt.Sprintf("%.4f", p.Seconds), f(p.MPKI),
 				fmt.Sprintf("%.2f", p.SocketJoules), fmt.Sprintf("%.2f", p.WallJoules))
 		}
@@ -86,12 +94,10 @@ func (c *Context) Fig6AllocationSpace() *Table {
 // plots: for each representative, the energy-optimal allocation and how
 // much LLC it can yield without leaving the near-optimal region.
 func (c *Context) Fig7YieldableCapacity() *Table {
-	c.submitAllocationGrids()
 	t := &Table{Title: "Figure 7: wall-energy-optimal allocations and yieldable LLC",
 		Columns: []string{"app", "best threads", "best ways", "best wall(J)",
 			"min ways within 2.5%", "yieldable MB"}}
-	for _, app := range c.Reps {
-		pts := c.AllocationSpace(app, c.ThreadPoints, c.WayPoints)
+	for i, pts := range c.allocationGrids() {
 		best := pts[0]
 		for _, p := range pts[1:] {
 			if p.WallJoules < best.WallJoules {
@@ -110,7 +116,7 @@ func (c *Context) Fig7YieldableCapacity() *Table {
 			}
 		}
 		yieldMB := float64(12-minWays) * 0.5
-		t.Add(app.Name, fmt.Sprintf("%d", best.Threads), fmt.Sprintf("%d", best.Ways),
+		t.Add(c.Reps[i].Name, fmt.Sprintf("%d", best.Threads), fmt.Sprintf("%d", best.Ways),
 			fmt.Sprintf("%.2f", best.WallJoules), fmt.Sprintf("%d", minWays),
 			fmt.Sprintf("%.1f", yieldMB))
 	}

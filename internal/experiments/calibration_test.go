@@ -77,8 +77,8 @@ func TestCalibrationDirectMappedPathology(t *testing.T) {
 		if app.MaxThreads < th {
 			th = app.MaxThreads
 		}
-		one := c.singleSeconds(app, th, 1)
-		two := c.singleSeconds(app, th, 2)
+		one := c.R.Run(sched.SingleSpec{App: app, Threads: th, Ways: 1}).JobByName(app.Name).Seconds
+		two := c.R.Run(sched.SingleSpec{App: app, Threads: th, Ways: 2}).JobByName(app.Name).Seconds
 		if one < two {
 			t.Errorf("%s: direct-mapped 1 way (%v) faster than 2 ways (%v)", app.Name, one, two)
 		}
@@ -93,8 +93,8 @@ func TestCalibrationRaceToHalt(t *testing.T) {
 	// consumes less total energy than crawling on one.
 	r := sched.New(sched.Options{Scale: 2e-3})
 	app := workload.MustByName("swaptions")
-	one := r.RunSingle(sched.SingleSpec{App: app, Threads: 1})
-	eight := r.RunSingle(sched.SingleSpec{App: app, Threads: 8})
+	one := r.Run(sched.SingleSpec{App: app, Threads: 1})
+	eight := r.Run(sched.SingleSpec{App: app, Threads: 8})
 	if eight.Energy.SocketJoules >= one.Energy.SocketJoules {
 		t.Errorf("race-to-halt violated (socket): 8thr %v J vs 1thr %v J",
 			eight.Energy.SocketJoules, one.Energy.SocketJoules)
@@ -106,8 +106,8 @@ func TestCalibrationRaceToHalt(t *testing.T) {
 	// But a sequential application gains nothing from extra threads and
 	// must not pay for them either (threads are capped).
 	mcf := workload.MustByName("429.mcf")
-	a := r.RunSingle(sched.SingleSpec{App: mcf, Threads: 1})
-	b := r.RunSingle(sched.SingleSpec{App: mcf, Threads: 8})
+	a := r.Run(sched.SingleSpec{App: mcf, Threads: 1})
+	b := r.Run(sched.SingleSpec{App: mcf, Threads: 8})
 	ratio := b.Energy.SocketJoules / a.Energy.SocketJoules
 	if ratio < 0.99 || ratio > 1.01 {
 		t.Errorf("sequential app energy changed with thread request: ratio %v", ratio)
@@ -123,8 +123,8 @@ func TestCalibrationConsolidationSavesEnergy(t *testing.T) {
 	c := calCtx()
 	a := workload.MustByName("fop")
 	b := workload.MustByName("dedup")
-	seq := c.R.AloneWhole(a).Energy.SocketJoules + c.R.AloneWhole(b).Energy.SocketJoules
-	con := c.R.RunPair(sched.PairSpec{Fg: a, Bg: b, Mode: sched.BothOnce}).Energy.SocketJoules
+	seq := c.R.Run(sched.AloneWholeSpec(a)).Energy.SocketJoules + c.R.Run(sched.AloneWholeSpec(b)).Energy.SocketJoules
+	con := c.R.Run(sched.PairSpec{Fg: a, Bg: b, Mode: sched.BothOnce}).Energy.SocketJoules
 	if con >= seq {
 		t.Errorf("consolidation did not save energy: concurrent %v J vs sequential %v J", con, seq)
 	}

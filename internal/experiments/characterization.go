@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/machine"
 	"repro/internal/prefetch"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -54,7 +55,12 @@ func (c *Context) speedupSpecs(app *workload.Profile) []sched.Spec {
 // to 1 thread (Figure 1's series for one application). The points run
 // as one batch across the engine's workers.
 func (c *Context) SpeedupCurve(app *workload.Profile) map[int]float64 {
-	res := c.R.RunBatch(c.speedupSpecs(app))
+	return c.speedups(app, c.R.RunBatch(c.speedupSpecs(app)))
+}
+
+// speedups reads one application's speedup curve from the results of
+// its speedupSpecs.
+func (c *Context) speedups(app *workload.Profile, res []*machine.Result) map[int]float64 {
 	t1 := res[0].JobByName(app.Name).Seconds
 	out := make(map[int]float64, len(c.ThreadPoints))
 	for i, th := range c.ThreadPoints {
@@ -63,25 +69,27 @@ func (c *Context) SpeedupCurve(app *workload.Profile) map[int]float64 {
 	return out
 }
 
-// submitSpeedupCurves batches every application's Figure 1 series so
-// Figure 1 and Table 1 assemble from memo hits.
-func (c *Context) submitSpeedupCurves() {
-	var specs []sched.Spec
-	for _, app := range c.Apps {
-		specs = append(specs, c.speedupSpecs(app)...)
+// speedupCurves runs every application's Figure 1 series as one batch
+// and returns the curves in c.Apps order.
+func (c *Context) speedupCurves() []map[int]float64 {
+	sweeps := make([][]sched.Spec, len(c.Apps))
+	for i, app := range c.Apps {
+		sweeps[i] = c.speedupSpecs(app)
 	}
-	c.submit(specs)
+	curves := make([]map[int]float64, len(c.Apps))
+	for i, res := range c.runSweeps(sweeps) {
+		curves[i] = c.speedups(c.Apps[i], res)
+	}
+	return curves
 }
 
 // Fig1ThreadScalability reproduces Figure 1: normalized speedup of every
-// application from 1 to 8 threads. All series are submitted as one
-// batch up front.
+// application from 1 to 8 threads.
 func (c *Context) Fig1ThreadScalability() *Table {
-	c.submitSpeedupCurves()
 	t := &Table{Title: "Figure 1: speedup vs threads (normalized to 1 thread)"}
 	t.Columns = append([]string{"app", "suite"}, colsForThreads(c.ThreadPoints)...)
-	for _, app := range c.Apps {
-		cur := c.SpeedupCurve(app)
+	for i, cur := range c.speedupCurves() {
+		app := c.Apps[i]
 		row := []string{app.Name, app.Suite}
 		for _, th := range c.ThreadPoints {
 			row = append(row, f(cur[th]))
@@ -102,12 +110,11 @@ func colsForThreads(ths []int) []string {
 
 // Table1Scalability reproduces Table 1: the scalability classification.
 func (c *Context) Table1Scalability() (*Table, map[string]ScalabilityClass) {
-	c.submitSpeedupCurves()
 	t := &Table{Title: "Table 1: thread scalability classes",
 		Columns: []string{"app", "suite", "speedup@8", "class"}}
 	classes := map[string]ScalabilityClass{}
-	for _, app := range c.Apps {
-		cur := c.SpeedupCurve(app)
+	for i, cur := range c.speedupCurves() {
+		app := c.Apps[i]
 		cl := classifyScalability(cur)
 		classes[app.Name] = cl
 		t.Add(app.Name, app.Suite, f(cur[8]), string(cl))
@@ -138,7 +145,12 @@ func (c *Context) capacitySpecs(app *workload.Profile, threads int) []sched.Spec
 // given thread count (one series of Figure 2). The sweep runs as one
 // batch across the engine's workers.
 func (c *Context) CapacityCurve(app *workload.Profile, threads int) map[int]float64 {
-	res := c.R.RunBatch(c.capacitySpecs(app, threads))
+	return c.capacities(app, c.R.RunBatch(c.capacitySpecs(app, threads)))
+}
+
+// capacities reads one application's capacity curve from the results
+// of its capacitySpecs.
+func (c *Context) capacities(app *workload.Profile, res []*machine.Result) map[int]float64 {
 	out := make(map[int]float64, len(c.WayPoints))
 	for i, w := range c.WayPoints {
 		out[w] = res[i].JobByName(app.Name).Seconds
@@ -181,36 +193,29 @@ func classifyUtility(curve map[int]float64, wayPoints []int) UtilityClass {
 // Fig2LLCSensitivity reproduces Figure 2: execution time vs LLC
 // allocation for the three §3.2 exemplars at 1/2/4/8 threads.
 func (c *Context) Fig2LLCSensitivity() *Table {
-	apps := []string{"swaptions", "tomcat", "471.omnetpp"}
-	var specs []sched.Spec
-	for _, name := range apps {
+	var rows [][]string // each series' app and thread cells
+	var sweeps [][]sched.Spec
+	for _, name := range []string{"swaptions", "tomcat", "471.omnetpp"} {
 		app := workload.MustByName(name)
 		for _, th := range []int{1, 2, 4, 8} {
-			if th > app.MaxThreads {
-				continue
+			if th <= app.MaxThreads {
+				rows = append(rows, []string{name, fmt.Sprintf("%d", th)})
+				sweeps = append(sweeps, c.capacitySpecs(app, th))
 			}
-			specs = append(specs, c.capacitySpecs(app, th)...)
 		}
 	}
-	c.submit(specs)
 
 	t := &Table{Title: "Figure 2: execution time (s) vs LLC allocation"}
 	t.Columns = []string{"app", "threads"}
 	for _, w := range c.WayPoints {
 		t.Columns = append(t.Columns, fmt.Sprintf("%.1fMB", float64(w)*0.5))
 	}
-	for _, name := range apps {
-		app := workload.MustByName(name)
-		for _, th := range []int{1, 2, 4, 8} {
-			if th > app.MaxThreads {
-				continue
-			}
-			row := []string{name, fmt.Sprintf("%d", th)}
-			for _, w := range c.WayPoints {
-				row = append(row, fmt.Sprintf("%.4f", c.singleSeconds(app, th, w)))
-			}
-			t.Add(row...)
+	for i, res := range c.runSweeps(sweeps) {
+		row := rows[i]
+		for _, r := range res {
+			row = append(row, fmt.Sprintf("%.4f", r.JobByName(row[0]).Seconds))
 		}
+		t.Add(row...)
 	}
 	t.Note("paper: 0.5MB direct-mapped always detrimental; low/saturated/high utility exemplars; no sharp knees")
 	return t
@@ -237,22 +242,21 @@ func (c *Context) Table2LLCUtility() *Table2Result {
 		Classes:  map[string]UtilityClass{},
 		DemandMB: map[string]float64{},
 	}
-	var specs []sched.Spec
-	for _, app := range c.Apps {
+	// Per application: the way sweep at 4 threads, then the full-cache
+	// run whose LLC accesses the table reports.
+	sweeps := make([][]sched.Spec, len(c.Apps))
+	for i, app := range c.Apps {
 		threads := threadsFor(app, 4)
-		specs = append(specs, c.capacitySpecs(app, threads)...)
-		specs = append(specs, sched.SingleSpec{App: app, Threads: threads})
+		sweeps[i] = append(c.capacitySpecs(app, threads), sched.SingleSpec{App: app, Threads: threads})
 	}
-	c.submit(specs)
 
 	n1, n3 := 0, 0
-	for _, app := range c.Apps {
-		threads := threadsFor(app, 4)
-		curve := c.CapacityCurve(app, threads)
+	for i, runs := range c.runSweeps(sweeps) {
+		app := c.Apps[i]
+		curve := c.capacities(app, runs)
 		cl := classifyUtility(curve, c.WayPoints)
 		demand := float64(capacityDemandWays(curve, c.WayPoints)) * 0.5
-		apki := c.R.RunSingle(sched.SingleSpec{App: app, Threads: threads}).
-			JobByName(app.Name).LLCAPKI
+		apki := runs[len(c.WayPoints)].JobByName(app.Name).LLCAPKI
 		res.Classes[app.Name] = cl
 		res.DemandMB[app.Name] = demand
 		if demand <= 1 {
@@ -287,24 +291,29 @@ func prefetchSpecs(app *workload.Profile) []sched.Spec {
 // PrefetchSensitivity returns time(all prefetchers on)/time(all off)
 // for one application at 4 threads (one bar of Figure 3).
 func (c *Context) PrefetchSensitivity(app *workload.Profile) float64 {
-	res := c.R.RunBatch(prefetchSpecs(app))
+	return prefetchRatio(app, c.R.RunBatch(prefetchSpecs(app)))
+}
+
+// prefetchRatio reads one bar of Figure 3 from the results of
+// prefetchSpecs.
+func prefetchRatio(app *workload.Profile, res []*machine.Result) float64 {
 	return res[0].JobByName(app.Name).Seconds / res[1].JobByName(app.Name).Seconds
 }
 
 // Fig3Prefetchers reproduces Figure 3: normalized execution time with
 // all prefetchers enabled relative to all disabled.
 func (c *Context) Fig3Prefetchers() *Table {
-	var specs []sched.Spec
-	for _, app := range c.Apps {
-		specs = append(specs, prefetchSpecs(app)...)
+	sweeps := make([][]sched.Spec, len(c.Apps))
+	for i, app := range c.Apps {
+		sweeps[i] = prefetchSpecs(app)
 	}
-	c.submit(specs)
 
 	t := &Table{Title: "Figure 3: time with prefetchers on / off",
 		Columns: []string{"app", "suite", "on/off"}}
 	sensitive := 0
-	for _, app := range c.Apps {
-		r := c.PrefetchSensitivity(app)
+	for i, res := range c.runSweeps(sweeps) {
+		app := c.Apps[i]
+		r := prefetchRatio(app, res)
 		if r < 0.95 || r > 1.05 {
 			sensitive++
 		}
@@ -333,27 +342,31 @@ func bandwidthSpecs(app *workload.Profile) []sched.Spec {
 // 0-1) when stream_uncached hogs the memory system from core 2 (one bar
 // of Figure 4).
 func (c *Context) BandwidthSensitivity(app *workload.Profile) float64 {
-	specs := bandwidthSpecs(app)
-	if specs == nil {
+	return bandwidthSlowdown(app, c.R.RunBatch(bandwidthSpecs(app)))
+}
+
+// bandwidthSlowdown reads one bar of Figure 4 from the results of
+// bandwidthSpecs.
+func bandwidthSlowdown(app *workload.Profile, res []*machine.Result) float64 {
+	if len(res) == 0 {
 		return 1 // the hog against itself is not part of the figure
 	}
-	res := c.R.RunBatch(specs)
 	return res[1].JobByName(app.Name).Seconds / res[0].JobByName(app.Name).Seconds
 }
 
 // Fig4Bandwidth reproduces Figure 4: execution-time increase when
 // co-running with the bandwidth-hog microbenchmark.
 func (c *Context) Fig4Bandwidth() *Table {
-	var specs []sched.Spec
-	for _, app := range c.Apps {
-		specs = append(specs, bandwidthSpecs(app)...)
+	sweeps := make([][]sched.Spec, len(c.Apps))
+	for i, app := range c.Apps {
+		sweeps[i] = bandwidthSpecs(app)
 	}
-	c.submit(specs)
 
 	t := &Table{Title: "Figure 4: slowdown vs stream_uncached bandwidth hog",
 		Columns: []string{"app", "suite", "slowdown"}}
-	for _, app := range c.Apps {
-		t.Add(app.Name, app.Suite, f(c.BandwidthSensitivity(app)))
+	for i, res := range c.runSweeps(sweeps) {
+		app := c.Apps[i]
+		t.Add(app.Name, app.Suite, f(bandwidthSlowdown(app, res)))
 	}
 	t.Note("paper: SPEC FP streamers and the parallel applications suffer most (up to 3.8x); DaCapo barely affected")
 	return t

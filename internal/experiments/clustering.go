@@ -4,11 +4,14 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
-// featureSpecs lists every run one application's feature vector needs.
+// featureSpecs lists every run one application's feature vector needs,
+// in the order featureVector reads them: 1-8 threads, the 4-thread way
+// sweep from 2 to 12 ways, then Figure 3's and Figure 4's runs.
 func (c *Context) featureSpecs(app *workload.Profile) []sched.Spec {
 	specs := []sched.Spec{sched.SingleSpec{App: app, Threads: 1}}
 	for th := 2; th <= 8; th++ {
@@ -22,26 +25,23 @@ func (c *Context) featureSpecs(app *workload.Profile) []sched.Spec {
 	return append(specs, bandwidthSpecs(app)...)
 }
 
-// FeatureVector builds the 19-feature characterization vector of §3.5
-// for one application: execution time versus thread count (7 features,
-// 2-8 threads), execution time versus LLC allocation (10 features, 2-11
+// featureVector reads the 19-feature characterization vector of §3.5
+// for one application from the results of its featureSpecs: execution
+// time versus thread count (7 features, 2-8 threads, over 1 thread),
+// execution time versus LLC allocation (10 features, 2-11 ways, over 12
 // ways), prefetcher sensitivity (1), and bandwidth sensitivity (1).
 // Values are raw here; NormalizeFeatures rescales per dimension.
-func (c *Context) FeatureVector(app *workload.Profile) []float64 {
-	c.submit(c.featureSpecs(app))
+func featureVector(app *workload.Profile, res []*machine.Result) []float64 {
+	sec := func(r *machine.Result) float64 { return r.JobByName(app.Name).Seconds }
+	threads, ways := res[:8], res[8:19]
 	var vec []float64
-	t1 := c.singleSeconds(app, 1, 0)
-	for th := 2; th <= 8; th++ {
-		vec = append(vec, c.singleSeconds(app, th, 0)/t1)
+	for _, r := range threads[1:] {
+		vec = append(vec, sec(r)/sec(threads[0]))
 	}
-	threads := threadsFor(app, 4)
-	full := c.singleSeconds(app, threads, 12)
-	for w := 2; w <= 11; w++ {
-		vec = append(vec, c.singleSeconds(app, threads, w)/full)
+	for _, r := range ways[:10] {
+		vec = append(vec, sec(r)/sec(ways[10]))
 	}
-	vec = append(vec, c.PrefetchSensitivity(app))
-	vec = append(vec, c.BandwidthSensitivity(app))
-	return vec
+	return append(vec, prefetchRatio(app, res[19:21]), bandwidthSlowdown(app, res[21:]))
 }
 
 // Fig5Result carries the clustering outcome.
@@ -56,15 +56,13 @@ type Fig5Result struct {
 // single-linkage clustering of the 19-feature vectors, cut at 0.9, with
 // centroid-closest representatives.
 func (c *Context) Fig5Clustering() *Fig5Result {
-	var specs []sched.Spec
-	for _, app := range c.Apps {
-		specs = append(specs, c.featureSpecs(app)...)
-	}
-	c.submit(specs)
-
-	items := make([]cluster.Item, len(c.Apps))
+	sweeps := make([][]sched.Spec, len(c.Apps))
 	for i, app := range c.Apps {
-		items[i] = cluster.Item{Name: app.Name, Vec: c.FeatureVector(app)}
+		sweeps[i] = c.featureSpecs(app)
+	}
+	items := make([]cluster.Item, len(c.Apps))
+	for i, res := range c.runSweeps(sweeps) {
+		items[i] = cluster.Item{Name: c.Apps[i].Name, Vec: featureVector(c.Apps[i], res)}
 	}
 	cluster.NormalizeFeatures(items)
 	merges := cluster.SingleLinkage(items)

@@ -1,13 +1,16 @@
 // Package experiments contains one driver per table and figure of the
-// paper's evaluation. Each driver runs the required simulations through
-// a shared sched.Runner (memoized, so drivers reuse each other's runs)
-// and renders a text table with the same rows/series the paper reports.
+// paper's evaluation. Each driver submits its whole sweep to a shared
+// sched.Runner as one batch (memoized, so drivers reuse each other's
+// runs), reads every cell from the results, and renders a text table
+// with the same rows/series the paper reports.
 // EXPERIMENTS.md records paper-vs-measured for each driver.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/machine"
 	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -55,13 +58,19 @@ func NewQuickContext(opt sched.Options) *Context {
 	return c
 }
 
-// submit fans a figure's sweep across the runner's worker pool before
-// assembly begins. Drivers collect the specs of every simulation a
-// figure needs, submit them in one batch, and then keep their simple
-// sequential assembly loops: each value the loop asks for is already a
-// memo hit, so rendered output is byte-identical to a serial run while
-// the simulations themselves saturate the machine.
-func (c *Context) submit(specs []sched.Spec) { c.R.Warm(specs) }
+// runSweeps runs every sweep in one batch and returns each sweep's
+// results. Drivers list a figure's whole sweep this way and read every
+// table cell from what the batch returns, so a figure costs one batch
+// and its memo hits count only duplicate specs and runs an earlier
+// figure already made.
+func (c *Context) runSweeps(sweeps [][]sched.Spec) [][]*machine.Result {
+	results := c.R.RunBatch(slices.Concat(sweeps...))
+	out := make([][]*machine.Result, len(sweeps))
+	for i, s := range sweeps {
+		out[i], results = results[:len(s)], results[len(s):]
+	}
+	return out
+}
 
 // pairMix describes the §5 co-run shape — a 4-thread latency-sensitive
 // foreground with a 4-thread co-runner, packed onto disjoint core
@@ -126,17 +135,6 @@ func (c *Context) multiRun(fg, bg *workload.Profile, n int) sched.Spec {
 // specs aligned with what each spec's execution will actually run.
 func threadsFor(app *workload.Profile, want int) int {
 	return sched.CapThreads(app, want)
-}
-
-// aloneHalfSeconds returns the §5.1 foreground baseline time.
-func (c *Context) aloneHalfSeconds(app *workload.Profile) float64 {
-	return c.R.AloneHalf(app).JobByName(app.Name).Seconds
-}
-
-// singleSeconds runs app alone and returns its completion time.
-func (c *Context) singleSeconds(app *workload.Profile, threads, ways int) float64 {
-	res := c.R.RunSingle(sched.SingleSpec{App: app, Threads: threads, Ways: ways})
-	return res.JobByName(app.Name).Seconds
 }
 
 // f formats a float compactly for table cells.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/cache"
@@ -125,34 +126,27 @@ func (c *Context) Fig13DynamicThroughput() *Fig13Result {
 		Columns: []string{"pair", "static iters", "dynamic iters", "dyn/static",
 			"shared/static", "dyn fg cost"}}
 
-	// One batch for everything: the memoizable static sweeps (which
-	// contain every pair's best-static run), the shared runs, and the
-	// non-memoizable dynamic controller runs — statics and dynamics
-	// overlap instead of serializing behind a barrier. The dynamic
-	// results are the batch's tail, in pair order.
-	var specs []sched.Spec
+	// The Figure 13 baseline is the static allocation best *for the
+	// foreground*: the biased search with ties broken toward the
+	// protective split. Each pair's sweep is fg's alone baseline, that
+	// search's splits, the shared run and the dynamic controller's run,
+	// and every pair goes out in one batch.
+	protective := partition.MustNew(scenario.PartitionBiased, json.RawMessage(`{"rule":"foreground"}`))
+	var sweeps [][]sched.Spec
 	for _, fg := range c.Reps {
 		for _, bg := range c.Reps {
-			specs = append(specs, partition.SearchSpecs(c.R.MachineConfig(), fg, bg)...)
-			specs = append(specs, c.pairRun(fg, bg, 0, 0, false))
+			sweep := append([]sched.Spec{sched.AloneHalfSpec(fg)}, c.pairPlan(protective, fg, bg).Specs()...)
+			sweeps = append(sweeps, append(sweep, c.pairRun(fg, bg, 0, 0, false), c.dynamicSpec(fg, bg, nil)))
 		}
 	}
-	nPairs := len(c.Reps) * len(c.Reps)
-	for _, fg := range c.Reps {
-		for _, bg := range c.Reps {
-			specs = append(specs, c.dynamicSpec(fg, bg, nil))
-		}
-	}
-	dynResults := c.R.RunBatch(specs)[len(specs)-nPairs:]
+	results := c.runSweeps(sweeps)
 
 	for i, fg := range c.Reps {
 		for j, bg := range c.Reps {
-			// The Figure 13 baseline is the allocation best *for the
-			// foreground* (ties broken toward the protective split).
-			best := partition.BestForForeground(c.R, fg, bg)
-			static := c.R.Run(c.pairRun(fg, bg, best.FgWays, best.BgWays, false))
-			shared := c.R.Run(c.pairRun(fg, bg, 0, 0, false))
-			dyn := dynResults[i*len(c.Reps)+j]
+			runs := results[i*len(c.Reps)+j]
+			n := len(runs)
+			alone, shared, dyn := runs[0].JobByName(fg.Name).Seconds, runs[n-2], runs[n-1]
+			static := c.pairPlan(protective, fg, bg).Harvest(runs[1:n-2], alone).Main
 
 			sIter := static.JobByName(bg.Name).Iterations
 			dIter := dyn.JobByName(bg.Name).Iterations

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -132,14 +133,6 @@ func (c *Context) pairPlan(pol partition.Policy, fg, bg *workload.Profile) *part
 	return plan
 }
 
-// pricePair runs pol's plan on the §5 pair (memo hits once a figure's
-// sweep is submitted) and harvests its outcome; alone is fg's §5.1
-// baseline.
-func (c *Context) pricePair(pol partition.Policy, fg, bg *workload.Profile, alone float64) partition.Outcome {
-	plan := c.pairPlan(pol, fg, bg)
-	return plan.Harvest(c.R.RunBatch(plan.Specs()), alone)
-}
-
 // staticPlanSpecs lists the runs of a pair's three §5.2 static-policy
 // plans — the biased sweep (which includes the eventual biased run)
 // and the shared and fair splits — after fg's alone baseline.
@@ -149,6 +142,22 @@ func (c *Context) staticPlanSpecs(fg, bg *workload.Profile) []sched.Spec {
 		specs = append(specs, c.pairPlan(pol, fg, bg).Specs()...)
 	}
 	return specs
+}
+
+// staticOutcomes harvests each static-policy plan, in
+// partition.StaticPolicies order, from the results of the pair's
+// staticPlanSpecs, and returns them with fg's §5.1 alone time.
+func (c *Context) staticOutcomes(fg, bg *workload.Profile, res []*machine.Result) (float64, []partition.Outcome) {
+	alone := res[0].JobByName(fg.Name).Seconds
+	res = res[1:]
+	var outs []partition.Outcome
+	for _, pol := range partition.StaticPolicies() {
+		plan := c.pairPlan(pol, fg, bg)
+		n := len(plan.Specs())
+		outs = append(outs, plan.Harvest(res[:n], alone))
+		res = res[n:]
+	}
+	return alone, outs
 }
 
 // Fig9StaticPolicies reproduces Figure 9: foreground degradation under
@@ -164,24 +173,22 @@ func (c *Context) Fig9StaticPolicies() *Fig9Result {
 	t := &Table{Title: "Figure 9: fg slowdown by policy (pairs Ci+Cj of Table 3 representatives)",
 		Columns: []string{"pair", "shared", "fair", "biased", "biased ways"}}
 
-	// Submit every pair's static-policy plans up front; assembly below
-	// then runs off memo hits.
-	var specs []sched.Spec
+	var sweeps [][]sched.Spec
 	for _, fg := range c.Reps {
 		for _, bg := range c.Reps {
-			specs = append(specs, c.staticPlanSpecs(fg, bg)...)
+			sweeps = append(sweeps, c.staticPlanSpecs(fg, bg))
 		}
 	}
-	c.submit(specs)
+	results := c.runSweeps(sweeps)
 
 	for i, fg := range c.Reps {
-		alone := c.aloneHalfSeconds(fg)
 		for j, bg := range c.Reps {
+			alone, outs := c.staticOutcomes(fg, bg, results[i*len(c.Reps)+j])
 			label := fmt.Sprintf("C%d+C%d", i+1, j+1)
 			row := []string{label}
 			var biasedWays int
-			for _, pol := range partition.StaticPolicies() {
-				out := c.pricePair(pol, fg, bg, alone)
+			for k, pol := range partition.StaticPolicies() {
+				out := outs[k]
 				if pol.Name() == scenario.PartitionBiased {
 					biasedWays = out.LatencyWays
 				}
@@ -232,27 +239,26 @@ func (c *Context) Fig10and11Consolidation() (*Table, *Table, []ConsolidationOutc
 	sumsE := map[string][]float64{}
 	sumsW := map[string][]float64{}
 
-	// Stage 1: sequential baselines and every pair's static-policy
-	// plans, whose runs decide each policy's split.
-	var stage1 []sched.Spec
+	// Stage 1: the sequential baselines, then every unordered pair's
+	// static-policy plans, whose runs decide each policy's split.
+	stage1 := [][]sched.Spec{nil}
 	for i, a := range c.Reps {
-		stage1 = append(stage1, sched.AloneWholeSpec(a))
-		for j := i; j < len(c.Reps); j++ {
-			stage1 = append(stage1, c.staticPlanSpecs(a, c.Reps[j])...)
+		stage1[0] = append(stage1[0], sched.AloneWholeSpec(a))
+		for _, b := range c.Reps[i:] {
+			stage1 = append(stage1, c.staticPlanSpecs(a, b))
 		}
 	}
-	c.submit(stage1)
+	res1 := c.runSweeps(stage1)
+	whole, plans := res1[0], res1[1:]
 
 	// Stage 2: each policy's consolidation run — both applications run
-	// once — at the split its plan chose (re-harvesting the plans is
-	// memo hits), as one batch in assembly order.
+	// once — at the split its plan chose, as one batch in assembly order.
 	var stage2 []sched.Spec
 	for i, a := range c.Reps {
-		alone := c.aloneHalfSeconds(a)
-		for j := i; j < len(c.Reps); j++ {
-			b := c.Reps[j]
-			for _, pol := range partition.StaticPolicies() {
-				out := c.pricePair(pol, a, b, alone)
+		for _, b := range c.Reps[i:] {
+			_, outs := c.staticOutcomes(a, b, plans[0])
+			plans = plans[1:]
+			for _, out := range outs {
 				stage2 = append(stage2, c.pairRun(a, b, out.Ways(0), out.Ways(1), true))
 			}
 		}
@@ -262,8 +268,7 @@ func (c *Context) Fig10and11Consolidation() (*Table, *Table, []ConsolidationOutc
 	for i, a := range c.Reps {
 		for j := i; j < len(c.Reps); j++ {
 			b := c.Reps[j]
-			resA := c.R.AloneWhole(a)
-			resB := c.R.AloneWhole(b)
+			resA, resB := whole[i], whole[j]
 			seqEnergy := resA.Energy.SocketJoules + resB.Energy.SocketJoules
 			aAlone := resA.JobByName(a.Name).Seconds
 			bAlone := resB.JobByName(b.Name).Seconds

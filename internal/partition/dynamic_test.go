@@ -65,9 +65,8 @@ func TestControllerPreservesForegroundPerformance(t *testing.T) {
 	r := sched.New(sched.Options{Scale: scale})
 	fg := workload.MustByName("429.mcf")
 	bg := workload.MustByName("ferret")
-	best := BestBiased(r, fg, bg)
-	static := r.RunPair(sched.PairSpec{Fg: fg, Bg: bg,
-		FgWays: best.FgWays, BgWays: best.BgWays, Mode: sched.BackgroundLoop})
+	best, _ := priceBiased(t, r, "", fg, bg)
+	static := best.Main
 	_, dyn := attachControllerPair(t, r, fg, bg)
 	sFg := static.JobByName(fg.Name).Seconds
 	dFg := dyn.JobByName(fg.Name).Seconds
@@ -83,7 +82,7 @@ func TestControllerPreservesForegroundPerformance(t *testing.T) {
 func attachControllerPair(t *testing.T, r *sched.Runner, fg, bg *workload.Profile) (*Loop, *machine.Result) {
 	t.Helper()
 	var loop *Loop
-	res := r.RunPair(sched.PairSpec{
+	res := r.Run(sched.PairSpec{
 		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
 		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
 			loop = AttachLoop(m, []LoopJob{{Job: fgJob, Latency: true}, {Job: bgJob}},
@@ -102,7 +101,7 @@ func TestAttachValidation(t *testing.T) {
 			t.Fatal("zero interval accepted")
 		}
 	}()
-	r.RunPair(sched.PairSpec{
+	r.Run(sched.PairSpec{
 		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
 		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
 			AttachLoop(m, []LoopJob{{Job: fgJob, Latency: true}, {Job: bgJob}},

@@ -82,7 +82,7 @@ func TestBestBiasedJobList(t *testing.T) {
 	if len(specs) != 11 {
 		t.Fatalf("%d search specs, want 11 splits", len(specs))
 	}
-	alone := r.AloneHalf(fg).Jobs[0].Seconds
+	alone := r.Run(sched.AloneHalfSpec(fg)).Jobs[0].Seconds
 	out := plan.Harvest(r.RunBatch(specs), alone)
 	w := out.LatencyWays
 	if w < 1 || w > 11 {

@@ -18,18 +18,6 @@ import (
 	"repro/internal/workload"
 )
 
-// BiasedChoice records the outcome of the exhaustive biased search for
-// one application pair.
-type BiasedChoice struct {
-	FgWays, BgWays int
-	// FgSlowdown is the foreground slowdown at the chosen allocation,
-	// relative to the foreground alone on its cores with the full LLC.
-	FgSlowdown float64
-	// BgThroughput is background iterations completed per foreground
-	// run at the chosen allocation.
-	BgThroughput float64
-}
-
 // slowdownTieEps treats allocations within this fraction of the minimum
 // foreground degradation as ties, broken by background throughput —
 // the paper's "among allocations with minimum foreground performance
@@ -47,22 +35,16 @@ func PairPlan(pol Policy, cfg machine.Config, scale float64, fg, bg *workload.Pr
 	return NewPlan(pol, Mix{Spec: pair.Mix(cfg), Latency: []bool{true, false}}, cfg, scale)
 }
 
-// searchPlan is the biased search's plan for a pair; the pair shape
-// always satisfies a search policy's one-latency-job rule.
-func searchPlan(s Searcher, cfg machine.Config, fg, bg *workload.Profile) *Plan {
-	plan, err := PairPlan(s, cfg, 0, fg, bg)
-	if err != nil {
-		panic(err.Error())
-	}
-	return plan
-}
-
 // SearchSpecs lists every run the exhaustive biased search for a pair
 // needs on the given platform — the foreground-alone baseline plus each
 // uneven split, all on that platform — so experiment drivers can batch
 // the searches of many pairs up front.
 func SearchSpecs(cfg machine.Config, fg, bg *workload.Profile) []sched.Spec {
-	return append([]sched.Spec{sched.AloneHalfSpec(fg).Mix(cfg)}, searchPlan(biasedPolicy{}, cfg, fg, bg).Specs()...)
+	plan, err := PairPlan(biasedPolicy{}, cfg, 0, fg, bg)
+	if err != nil {
+		panic(err.Error()) // the pair shape has the one latency job a search needs
+	}
+	return append([]sched.Spec{sched.AloneHalfSpec(fg).Mix(cfg)}, plan.Specs()...)
 }
 
 // Candidate is one allocation's measured (or, on the fast tier,
@@ -118,41 +100,6 @@ func PickForForeground(cands []Candidate) int {
 		}
 	}
 	return best
-}
-
-// BestSplit exhaustively evaluates every uneven split of the default
-// platform's LLC (foreground w ways, background the remaining assoc-w,
-// for w in [1, assoc-1]) with the background running continuously, and
-// returns the choice the searcher's selection rule picks. The splits
-// run as one batch across the engine's workers.
-func BestSplit(r *sched.Runner, s Searcher, fg, bg *workload.Profile) BiasedChoice {
-	cfg := r.MachineConfig()
-	plan := searchPlan(s, cfg, fg, bg)
-	results := r.RunBatch(append([]sched.Spec{sched.AloneHalfSpec(fg)}, plan.Specs()...))
-	alone := results[0].Jobs[0].Seconds
-	out := plan.Harvest(results[1:], alone)
-	return BiasedChoice{
-		FgWays:       out.LatencyWays,
-		BgWays:       cfg.Hier.LLC.Assoc - out.LatencyWays,
-		FgSlowdown:   out.Main.Jobs[0].Seconds / alone,
-		BgThroughput: out.Main.Jobs[1].Iterations,
-	}
-}
-
-// BestBiased is BestSplit under the default biased rule (§5.2: minimum
-// foreground degradation, ties broken by background throughput).
-func BestBiased(r *sched.Runner, fg, bg *workload.Profile) BiasedChoice {
-	return BestSplit(r, biasedPolicy{}, fg, bg)
-}
-
-// BestForForeground returns the static allocation that is best for the
-// foreground alone — minimum foreground degradation with ties broken
-// toward the larger (more protective) foreground share. This is the
-// Figure 13 baseline ("the best static cache allocation for the
-// foreground application"), distinct from BestBiased's background-aware
-// tie-break used in Figure 9.
-func BestForForeground(r *sched.Runner, fg, bg *workload.Profile) BiasedChoice {
-	return BestSplit(r, biasedPolicy{protective: true}, fg, bg)
 }
 
 // SplitWays divides assoc ways into n contiguous disjoint shares, the

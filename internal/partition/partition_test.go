@@ -51,24 +51,23 @@ func TestBestBiasedSearch(t *testing.T) {
 	r := sched.New(sched.Options{Scale: 1e-3})
 	fg := workload.MustByName("429.mcf")
 	bg := workload.MustByName("ferret")
-	ch := BestBiased(r, fg, bg)
-	if ch.FgWays < 1 || ch.FgWays > 11 || ch.FgWays+ch.BgWays != 12 {
-		t.Fatalf("biased split %d+%d", ch.FgWays, ch.BgWays)
+	ch, fgAlone := priceBiased(t, r, "", fg, bg)
+	if ch.LatencyWays < 1 || ch.LatencyWays > 11 || ch.Ways(0)+ch.Ways(1) != 12 {
+		t.Fatalf("biased split %d+%d", ch.Ways(0), ch.Ways(1))
 	}
-	if ch.BgThroughput <= 0 {
+	if ch.Main.Jobs[1].Iterations <= 0 {
 		t.Fatal("biased choice recorded no background progress")
 	}
 	// mcf is cache-hungry: the chosen foreground share should not be
 	// tiny when paired with a cache-indifferent background.
-	if ch.FgWays < 3 {
-		t.Fatalf("mcf granted only %d ways against ferret", ch.FgWays)
+	if ch.LatencyWays < 3 {
+		t.Fatalf("mcf granted only %d ways against ferret", ch.LatencyWays)
 	}
 	// The choice must beat or match fair partitioning for the fg.
-	fgAlone := r.AloneHalf(fg).JobByName(fg.Name).Seconds
-	fair := r.RunPair(sched.PairSpec{Fg: fg, Bg: bg, FgWays: 6, BgWays: 6,
+	fair := r.Run(sched.PairSpec{Fg: fg, Bg: bg, FgWays: 6, BgWays: 6,
 		Mode: sched.BackgroundLoop}).JobByName(fg.Name).Seconds / fgAlone
-	if ch.FgSlowdown > fair*1.02 {
-		t.Fatalf("biased slowdown %v worse than fair %v", ch.FgSlowdown, fair)
+	if sd := ch.Main.Jobs[0].Seconds / fgAlone; sd > fair*1.02 {
+		t.Fatalf("biased slowdown %v worse than fair %v", sd, fair)
 	}
 }
 
@@ -90,7 +89,7 @@ func TestBestBiasedSmallLLC(t *testing.T) {
 		t.Fatalf("%d search specs, want the baseline plus 7 splits", len(specs))
 	}
 	results := r.RunBatch(specs)
-	if small, def := results[0], r.AloneHalf(fg); small.Jobs[0].Seconds == def.Jobs[0].Seconds {
+	if small, def := results[0], r.Run(sched.AloneHalfSpec(fg)); small.Jobs[0].Seconds == def.Jobs[0].Seconds {
 		t.Fatal("the baseline ran on the default platform, not the 8-way one")
 	}
 	alone := results[0].Jobs[0].Seconds
@@ -127,7 +126,7 @@ func TestPlanPairPolicies(t *testing.T) {
 	r := sched.New(sched.Options{Scale: 5e-4})
 	fg := workload.MustByName("fop")
 	bg := workload.MustByName("dedup")
-	alone := r.AloneHalf(fg).Jobs[0].Seconds
+	alone := r.Run(sched.AloneHalfSpec(fg)).Jobs[0].Seconds
 	for _, name := range Names() {
 		plan, err := PairPlan(MustNew(name, nil), r.MachineConfig(), r.Scale(), fg, bg)
 		if err != nil {

@@ -24,7 +24,7 @@ type Mix struct {
 // Plan is one partition policy priced on one mix: the single place the
 // search / online / offline dispatch lives. Every layer that asks
 // "policy P on this mix" — scenario runs, fleet oracles at either
-// fidelity, the search helpers, the experiment drivers, the pair CLI —
+// fidelity, the experiment drivers, the pair CLI —
 // lists the plan's specs, runs them through the engine (batched with
 // whatever else it needs), and harvests one Outcome:
 //

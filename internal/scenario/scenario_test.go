@@ -74,7 +74,7 @@ func TestCompileMatchesPairSpec(t *testing.T) {
 		t.Fatal(err)
 	}
 	pair := sched.PairSpec{Fg: fg, Bg: bg, FgWays: 8, BgWays: 4, Mode: sched.BackgroundLoop}
-	if r.RunMix(mix) != r.RunPair(pair) {
+	if r.RunMix(mix) != r.Run(pair) {
 		t.Fatal("scenario pair and PairSpec did not share a memo entry")
 	}
 }

@@ -108,9 +108,9 @@ func (r *Runner) RunBatchIn(info BatchInfo, specs []Spec) []*machine.Result {
 // have finished. It is the engine's one bounded fan-out: each call
 // starts at most Parallelism goroutines of its own, which claim indices
 // in order, and at Parallelism 1 the calls run inline in index order.
-// Because no pool is shared between calls, nested fan-outs (a batch
-// whose specs run a search helper that batches its own sweep) can never
-// deadlock waiting for each other's workers.
+// Because no pool is shared between calls, an fn that itself calls
+// Each or RunBatch can never deadlock waiting for the outer call's
+// workers.
 //
 // A panicking fn (an experiment-construction or simulator bug) must
 // surface on the calling goroutine, as it would serially — not kill the
@@ -153,38 +153,6 @@ func (r *Runner) Each(n int, fn func(i int)) {
 	if panicked != nil {
 		panic(panicked)
 	}
-}
-
-// Warm submits specs for execution and discards the results. Drivers
-// call it with a figure's full sweep up front: the simulations run in
-// parallel, and the driver's sequential assembly then collects every
-// value as a memo hit. Specs whose key is already cached (or in
-// flight) are skipped without touching the hit counter — re-warming an
-// overlapping sweep costs nothing and doesn't inflate the stats — as
-// are non-memoizable specs, whose results could never be collected.
-// (With DisableCache there is nothing to warm, so Warm is a no-op
-// rather than running everything twice.)
-func (r *Runner) Warm(specs []Spec) {
-	if r.opt.DisableCache {
-		return
-	}
-	var pending []Spec
-	seen := map[string]bool{}
-	for _, s := range specs {
-		key := s.memoKey(r)
-		if key == "" || seen[key] {
-			continue
-		}
-		sh := &r.shards[shardFor(key)]
-		sh.mu.Lock()
-		_, cached := sh.cache[key]
-		sh.mu.Unlock()
-		if !cached {
-			seen[key] = true
-			pending = append(pending, s)
-		}
-	}
-	r.RunBatch(pending)
 }
 
 // MemoShardSizes returns the entry count of each singleflight memo

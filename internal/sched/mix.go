@@ -98,8 +98,8 @@ func Platform(cfg machine.Config) *machine.Config {
 // renders every field of its configuration (all plain values, so the
 // rendering is deterministic).
 //
-// Keys are built with strconv appends rather than fmt: RunBatch and
-// Warm render one per submitted spec before any simulation runs, so key
+// Keys are built with strconv appends rather than fmt: RunBatch renders
+// one per submitted spec before any simulation runs, so key
 // construction sits on the engine's warm path. The rendered text is
 // unchanged from the fmt version (floats use the same shortest
 // round-trip form as %g, bools the same true/false as %v); only the

@@ -17,7 +17,7 @@ func TestLegacySpecsShareMixCache(t *testing.T) {
 	bg := workload.MustByName("ferret")
 	cfg := machine.Default()
 
-	pair := r.RunPair(PairSpec{Fg: fg, Bg: bg, FgWays: 8, BgWays: 4, Mode: BackgroundLoop})
+	pair := r.Run(PairSpec{Fg: fg, Bg: bg, FgWays: 8, BgWays: 4, Mode: BackgroundLoop})
 	mix := r.RunMix(MixSpec{Jobs: []MixJob{
 		{App: fg, Threads: 4, Slots: cfg.SlotsForCores(0, 1), Seed: "fg", WayFirst: 0, WayLim: 8},
 		{App: bg, Threads: 4, Slots: cfg.SlotsForCores(2, 3), Background: true, Seed: "bg", WayFirst: 8, WayLim: 12},

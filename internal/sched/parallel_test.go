@@ -88,7 +88,7 @@ func TestSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			results[i] = r.RunSingle(spec)
+			results[i] = r.Run(spec)
 		}(i)
 	}
 	close(start)
@@ -175,7 +175,7 @@ func TestPanickedRunDoesNotPoisonCache(t *testing.T) {
 		FgWays: 8, BgWays: 8, Mode: BackgroundLoop}
 	mustPanic := func() (panicked bool) {
 		defer func() { panicked = recover() != nil }()
-		r.RunPair(bad)
+		r.Run(bad)
 		return
 	}
 	if !mustPanic() {
@@ -212,23 +212,13 @@ func TestRunBatchPropagatesPanic(t *testing.T) {
 	r.RunBatch([]Spec{good, bad, good})
 }
 
-// TestWarmRespectsDisableCache: Warm is a no-op without a cache (it
-// would otherwise run every simulation twice).
-func TestWarmRespectsDisableCache(t *testing.T) {
-	r := New(Options{Scale: 5e-4, DisableCache: true, Parallelism: 2})
-	r.Warm([]Spec{SingleSpec{App: workload.MustByName("ferret"), Threads: 1}})
-	if sims := r.Stats().Simulations; sims != 0 {
-		t.Fatalf("Warm with DisableCache ran %d simulations", sims)
-	}
-}
-
 // TestStatsAccounting: simulations, memo hits, and busy time line up
-// with what a warm-then-reread pattern implies.
+// with what running one spec twice implies.
 func TestStatsAccounting(t *testing.T) {
 	r := New(Options{Scale: 5e-4, Parallelism: 2})
 	spec := SingleSpec{App: workload.MustByName("dedup"), Threads: 2}
-	r.Warm([]Spec{spec})
-	r.RunSingle(spec)
+	r.Run(spec)
+	r.Run(spec)
 	st := r.Stats()
 	if st.Simulations != 1 || st.MemoHits != 1 {
 		t.Fatalf("stats = %+v, want 1 sim and 1 hit", st)

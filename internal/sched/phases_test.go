@@ -30,7 +30,7 @@ func TestPhaseAccounting(t *testing.T) {
 		SingleSpec{App: app, Threads: 2},
 	})
 	r.RunBatch([]Spec{SingleSpec{App: app, Threads: 4}}) // unlabeled -> "sim"
-	r.RunSingle(SingleSpec{App: app, Threads: 8})        // outside any batch -> "sim"
+	r.Run(SingleSpec{App: app, Threads: 8})              // outside any batch -> "sim"
 
 	st := r.Stats()
 	ph := phaseByName(st)
@@ -49,7 +49,7 @@ func TestPhaseAccounting(t *testing.T) {
 		t.Errorf("simulation phase seconds %v != BusySeconds %v (must share one measurement)",
 			sum, st.BusySeconds)
 	}
-	// Queue wait: one entry per batched item (the direct RunSingle never
+	// Queue wait: one entry per batched item (the direct Run never
 	// queued).
 	if got := ph[PhaseQueueWait].Count; got != 3 {
 		t.Errorf("queue-wait count = %d, want 3", got)

@@ -456,14 +456,6 @@ func (s SingleSpec) memoKey(r *Runner) string { return s.Mix(defaultPlatform).me
 
 func (s SingleSpec) execute(r *Runner) *machine.Result { return s.Mix(defaultPlatform).execute(r) }
 
-// RunSingle executes an application alone on the machine: threads fill
-// both hyperthreads of each core before the next core (the paper's
-// assignment order), and every core the app runs on gets the first Ways
-// LLC ways. Results are memoized.
-func (r *Runner) RunSingle(s SingleSpec) *machine.Result {
-	return r.Run(s)
-}
-
 // PairMode selects how a foreground/background pair is run.
 type PairMode int
 
@@ -539,31 +531,14 @@ func (s PairSpec) memoKey(r *Runner) string { return s.Mix(defaultPlatform).memo
 
 func (s PairSpec) execute(r *Runner) *machine.Result { return s.Mix(defaultPlatform).execute(r) }
 
-// RunPair executes a pair scenario. Runs with a Setup hook are not
-// memoized (the hook may close over external state).
-func (r *Runner) RunPair(s PairSpec) *machine.Result {
-	return r.Run(s)
-}
-
-// AloneHalf returns the foreground baseline of §5.1: the application
+// AloneHalfSpec is the foreground baseline of §5.1: the application
 // alone on 2 cores / 4 hyperthreads with the full LLC.
-func (r *Runner) AloneHalf(app *workload.Profile) *machine.Result {
-	return r.RunSingle(AloneHalfSpec(app))
-}
-
-// AloneHalfSpec is the spec AloneHalf runs, exposed so drivers can
-// batch the baseline together with the sweeps that normalize to it.
 func AloneHalfSpec(app *workload.Profile) SingleSpec {
 	return SingleSpec{App: app, Threads: 4}
 }
 
-// AloneWhole returns the sequential baseline of §5.3: the application
+// AloneWholeSpec is the sequential baseline of §5.3: the application
 // alone on the whole machine (8 hyperthreads, full LLC).
-func (r *Runner) AloneWhole(app *workload.Profile) *machine.Result {
-	return r.RunSingle(AloneWholeSpec(app))
-}
-
-// AloneWholeSpec is the spec AloneWhole runs.
 func AloneWholeSpec(app *workload.Profile) SingleSpec {
 	return SingleSpec{App: app, Threads: 8}
 }
@@ -583,7 +558,7 @@ func CapThreads(p *workload.Profile, want int) int {
 }
 
 // pfKey renders a prefetch override for memo keys. It is called per
-// submitted spec (RunBatch dedup, Warm), so it avoids fmt: the output is
+// submitted spec (RunBatch dedup), so it avoids fmt: the output is
 // the same "truefalse..." concatenation Sprintf("%v...") produced.
 func pfKey(p *prefetch.Config) string {
 	if p == nil {

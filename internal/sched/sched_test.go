@@ -13,7 +13,7 @@ func testRunner() *Runner { return New(Options{Scale: 5e-4}) }
 func TestRunSingleBasics(t *testing.T) {
 	r := testRunner()
 	app := workload.MustByName("ferret")
-	res := r.RunSingle(SingleSpec{App: app, Threads: 4})
+	res := r.Run(SingleSpec{App: app, Threads: 4})
 	j := res.JobByName("ferret")
 	if j.Seconds <= 0 || j.Threads != 4 {
 		t.Fatalf("result: %+v", j)
@@ -23,12 +23,12 @@ func TestRunSingleBasics(t *testing.T) {
 func TestRunSingleMemoized(t *testing.T) {
 	r := testRunner()
 	app := workload.MustByName("ferret")
-	a := r.RunSingle(SingleSpec{App: app, Threads: 4})
-	b := r.RunSingle(SingleSpec{App: app, Threads: 4})
+	a := r.Run(SingleSpec{App: app, Threads: 4})
+	b := r.Run(SingleSpec{App: app, Threads: 4})
 	if a != b {
 		t.Fatal("identical single runs not memoized")
 	}
-	c := r.RunSingle(SingleSpec{App: app, Threads: 2})
+	c := r.Run(SingleSpec{App: app, Threads: 2})
 	if a == c {
 		t.Fatal("different thread counts shared a cache entry")
 	}
@@ -37,8 +37,8 @@ func TestRunSingleMemoized(t *testing.T) {
 func TestDisableCache(t *testing.T) {
 	r := New(Options{Scale: 5e-4, DisableCache: true})
 	app := workload.MustByName("swaptions")
-	a := r.RunSingle(SingleSpec{App: app, Threads: 1})
-	b := r.RunSingle(SingleSpec{App: app, Threads: 1})
+	a := r.Run(SingleSpec{App: app, Threads: 1})
+	b := r.Run(SingleSpec{App: app, Threads: 1})
 	if a == b {
 		t.Fatal("cache disabled but results shared")
 	}
@@ -50,8 +50,8 @@ func TestDisableCache(t *testing.T) {
 func TestWaysAffectSingle(t *testing.T) {
 	r := testRunner()
 	app := workload.MustByName("471.omnetpp")
-	full := r.RunSingle(SingleSpec{App: app, Threads: 1}).JobByName(app.Name).Seconds
-	one := r.RunSingle(SingleSpec{App: app, Threads: 1, Ways: 1}).JobByName(app.Name).Seconds
+	full := r.Run(SingleSpec{App: app, Threads: 1}).JobByName(app.Name).Seconds
+	one := r.Run(SingleSpec{App: app, Threads: 1, Ways: 1}).JobByName(app.Name).Seconds
 	if one <= full {
 		t.Fatalf("direct-mapped half-MB LLC (%v) not slower than full (%v)", one, full)
 	}
@@ -60,9 +60,9 @@ func TestWaysAffectSingle(t *testing.T) {
 func TestPrefetchOverride(t *testing.T) {
 	r := testRunner()
 	app := workload.MustByName("462.libquantum")
-	on := r.RunSingle(SingleSpec{App: app, Threads: 1}).JobByName(app.Name).Seconds
+	on := r.Run(SingleSpec{App: app, Threads: 1}).JobByName(app.Name).Seconds
 	off := prefetch.AllOff()
-	offT := r.RunSingle(SingleSpec{App: app, Threads: 1, Prefetch: &off}).JobByName(app.Name).Seconds
+	offT := r.Run(SingleSpec{App: app, Threads: 1, Prefetch: &off}).JobByName(app.Name).Seconds
 	if on >= offT {
 		t.Fatalf("prefetchers did not help the pure stream: on=%v off=%v", on, offT)
 	}
@@ -72,7 +72,7 @@ func TestRunPairPlacement(t *testing.T) {
 	r := testRunner()
 	fg := workload.MustByName("canneal")
 	bg := workload.MustByName("ferret")
-	res := r.RunPair(PairSpec{Fg: fg, Bg: bg, Mode: BackgroundLoop})
+	res := r.Run(PairSpec{Fg: fg, Bg: bg, Mode: BackgroundLoop})
 	if len(res.Jobs) != 2 {
 		t.Fatalf("%d jobs", len(res.Jobs))
 	}
@@ -94,7 +94,7 @@ func TestPairPartitionValidation(t *testing.T) {
 			t.Fatal("oversubscribed partition accepted")
 		}
 	}()
-	r.RunPair(PairSpec{Fg: fg, Bg: bg, FgWays: 8, BgWays: 8})
+	r.Run(PairSpec{Fg: fg, Bg: bg, FgWays: 8, BgWays: 8})
 }
 
 func TestPartitionProtectsForeground(t *testing.T) {
@@ -106,9 +106,9 @@ func TestPartitionProtectsForeground(t *testing.T) {
 	r := New(Options{Scale: 2e-3}) // interference needs warm caches
 	fg := workload.MustByName("429.mcf")
 	bg := workload.MustByName("canneal")
-	alone := r.AloneHalf(fg).JobByName(fg.Name).Seconds
-	shared := r.RunPair(PairSpec{Fg: fg, Bg: bg, Mode: BackgroundLoop}).JobByName(fg.Name).Seconds
-	part := r.RunPair(PairSpec{Fg: fg, Bg: bg, FgWays: 9, BgWays: 3, Mode: BackgroundLoop}).JobByName(fg.Name).Seconds
+	alone := r.Run(AloneHalfSpec(fg)).JobByName(fg.Name).Seconds
+	shared := r.Run(PairSpec{Fg: fg, Bg: bg, Mode: BackgroundLoop}).JobByName(fg.Name).Seconds
+	part := r.Run(PairSpec{Fg: fg, Bg: bg, FgWays: 9, BgWays: 3, Mode: BackgroundLoop}).JobByName(fg.Name).Seconds
 	if shared/alone < 1.1 {
 		t.Fatalf("no interference to mitigate: shared/alone = %v", shared/alone)
 	}
@@ -121,7 +121,7 @@ func TestBothOnceMode(t *testing.T) {
 	r := testRunner()
 	fg := workload.MustByName("fop")
 	bg := workload.MustByName("batik")
-	res := r.RunPair(PairSpec{Fg: fg, Bg: bg, Mode: BothOnce})
+	res := r.Run(PairSpec{Fg: fg, Bg: bg, Mode: BothOnce})
 	for _, j := range res.Jobs {
 		if j.Background {
 			t.Fatal("BothOnce ran a background job")
@@ -135,8 +135,8 @@ func TestBothOnceMode(t *testing.T) {
 func TestAloneBaselines(t *testing.T) {
 	r := testRunner()
 	app := workload.MustByName("ferret")
-	half := r.AloneHalf(app).JobByName(app.Name)
-	whole := r.AloneWhole(app).JobByName(app.Name)
+	half := r.Run(AloneHalfSpec(app)).JobByName(app.Name)
+	whole := r.Run(AloneWholeSpec(app)).JobByName(app.Name)
 	if half.Threads != 4 || whole.Threads != 8 {
 		t.Fatalf("baseline threads: half=%d whole=%d", half.Threads, whole.Threads)
 	}
@@ -150,7 +150,7 @@ func TestSetupHookRuns(t *testing.T) {
 	fg := workload.MustByName("fop")
 	bg := workload.MustByName("batik")
 	called := false
-	r.RunPair(PairSpec{Fg: fg, Bg: bg, Mode: BackgroundLoop,
+	r.Run(PairSpec{Fg: fg, Bg: bg, Mode: BackgroundLoop,
 		Setup: func(m *machine.Machine, f, b *machine.Job) {
 			called = true
 			if f.Name() != "fop" || b.Name() != "batik" {

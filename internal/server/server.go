@@ -135,12 +135,6 @@ type job struct {
 	errText string           // failed only
 }
 
-func (j *job) setState(s string) {
-	j.mu.Lock()
-	j.state = s
-	j.mu.Unlock()
-}
-
 // Server routes HTTP traffic onto one core.Session.
 type Server struct {
 	sess *core.Session
