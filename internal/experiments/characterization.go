@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/machine"
 	"repro/internal/prefetch"
@@ -205,7 +206,7 @@ func (c *Context) Fig2LLCSensitivity() *Table {
 		}
 	}
 
-	t := &Table{Title: "Figure 2: execution time (s) vs LLC allocation"}
+	t := &Table{Title: "Figure 2: execution time (ms, 4 significant digits) vs LLC allocation"}
 	t.Columns = []string{"app", "threads"}
 	for _, w := range c.WayPoints {
 		t.Columns = append(t.Columns, fmt.Sprintf("%.1fMB", float64(w)*0.5))
@@ -213,7 +214,7 @@ func (c *Context) Fig2LLCSensitivity() *Table {
 	for i, res := range c.runSweeps(sweeps) {
 		row := rows[i]
 		for _, r := range res {
-			row = append(row, fmt.Sprintf("%.4f", r.JobByName(row[0]).Seconds))
+			row = append(row, strconv.FormatFloat(r.JobByName(row[0]).Seconds*1e3, 'g', 4, 64))
 		}
 		t.Add(row...)
 	}
