@@ -19,7 +19,7 @@ race:
 # fleet pin skips under it).
 allocs:
 	$(GO) test ./internal/fleet -run TestSimRunAllocationFree -v
-	$(GO) test ./internal/cache ./internal/trace -run 'ZeroAllocs$$'
+	$(GO) test ./internal/cache ./internal/prefetch ./internal/trace -run 'ZeroAllocs$$'
 
 # One iteration per paper figure, benchmarks only (race and allocs run
 # the unit tests).

@@ -75,6 +75,12 @@ type Result struct {
 	Evicted       Eviction // Valid=false when the fill used an empty way
 }
 
+// invalidTag is the tag every invalid way holds. Line addresses are byte
+// addresses shifted right by log2 of the line size, so none equals it and
+// the tag scan needs no validity test. Callers must never pass it as a
+// line address.
+const invalidTag = ^uint64(0)
+
 // Cache is one cache array. It is not safe for concurrent use; the
 // simulator is single-threaded by design (determinism).
 //
@@ -93,7 +99,7 @@ type Cache struct {
 	lineShift uint
 	fullSet   uint32 // mask of all assoc ways: (1<<assoc)-1
 
-	tags       []uint64 // numSets*assoc, set-major; meaningful only where valid
+	tags       []uint64 // numSets*assoc, set-major; invalidTag where not valid
 	valid      []uint32 // per-set valid-way bitmask
 	dirty      []uint32 // per-set dirty-way bitmask
 	mru        []uint32 // per-set bit-PLRU reference bits
@@ -103,6 +109,11 @@ type Cache struct {
 	stats    Stats
 	clock    uint64 // touch counter for true LRU
 	rndState uint64 // splitmix state for random replacement
+
+	// slot is set*assoc+way of the line the last Access hit or the last
+	// miss fill (Access, Fill or FillMiss) wrote; the hierarchy indexes
+	// its LLC core-valid bits by it.
+	slot int
 }
 
 // New builds a cache from the configuration. It panics on a geometry that
@@ -144,7 +155,15 @@ func New(cfg Config) *Cache {
 	if cfg.Replacement == ReplaceLRU {
 		c.stamps = make([]uint64, linesTotal)
 	}
+	c.invalidateTags()
 	return c
+}
+
+// invalidateTags writes invalidTag into every way.
+func (c *Cache) invalidateTags() {
+	for i := range c.tags {
+		c.tags[i] = invalidTag
+	}
 }
 
 // hashName seeds the random-replacement stream deterministically.
@@ -209,23 +228,23 @@ func (c *Cache) touch(si, w int) {
 	c.mru[si] = m
 }
 
-// lookup returns the way of set si holding lineAddr, or -1. The tag scan
-// is a contiguous walk of assoc uint64s; validity is a single bit test.
-func (c *Cache) lookup(base int, vmask uint32, lineAddr uint64) int {
-	tags := c.tags[base : base+c.assoc]
-	if vmask == c.fullSet {
-		// Steady state: every way valid, the scan is pure tag compares.
-		for w := range tags {
-			if tags[w] == lineAddr {
-				return w
-			}
-		}
-		return -1
-	}
-	for w := range tags {
-		if tags[w] == lineAddr && vmask&(1<<uint(w)) != 0 {
+// lookup returns the way of the set starting at tag index base that
+// holds lineAddr, or -1. Invalid ways hold invalidTag, so the scan is
+// pure tag compares over a contiguous run of assoc uint64s.
+func (c *Cache) lookup(base int, lineAddr uint64) int {
+	for w, tag := range c.tags[base : base+c.assoc] {
+		if tag == lineAddr {
 			return w
 		}
+	}
+	return -1
+}
+
+// find returns the slot (set*assoc+way) holding lineAddr, or -1.
+func (c *Cache) find(lineAddr uint64) int {
+	base := c.setIndex(lineAddr) * c.assoc
+	if w := c.lookup(base, lineAddr); w >= 0 {
+		return base + w
 	}
 	return -1
 }
@@ -286,7 +305,8 @@ func (c *Cache) Access(lineAddr uint64, write bool, mask WayMask) Result {
 	c.stats.Accesses++
 	si := c.setIndex(lineAddr)
 	base := si * c.assoc
-	if w := c.lookup(base, c.valid[si], lineAddr); w >= 0 {
+	if w := c.lookup(base, lineAddr); w >= 0 {
+		c.slot = base + w
 		c.stats.Hits++
 		bit := uint32(1) << uint(w)
 		wasPrefetched := c.prefetched[si]&bit != 0
@@ -314,8 +334,7 @@ func (c *Cache) Access(lineAddr uint64, write bool, mask WayMask) Result {
 func (c *Cache) Lookup(lineAddr uint64, write bool) Result {
 	c.stats.Accesses++
 	si := c.setIndex(lineAddr)
-	base := si * c.assoc
-	if w := c.lookup(base, c.valid[si], lineAddr); w >= 0 {
+	if w := c.lookup(si*c.assoc, lineAddr); w >= 0 {
 		c.stats.Hits++
 		bit := uint32(1) << uint(w)
 		wasPrefetched := c.prefetched[si]&bit != 0
@@ -336,8 +355,7 @@ func (c *Cache) Lookup(lineAddr uint64, write bool) Result {
 // Probe reports whether lineAddr is present, without disturbing
 // replacement state or statistics.
 func (c *Cache) Probe(lineAddr uint64) bool {
-	si := c.setIndex(lineAddr)
-	return c.lookup(si*c.assoc, c.valid[si], lineAddr) >= 0
+	return c.find(lineAddr) >= 0
 }
 
 // Fill inserts lineAddr (e.g. on behalf of a prefetcher or an upper-level
@@ -345,7 +363,7 @@ func (c *Cache) Probe(lineAddr uint64) bool {
 // prefetch-hit accounting.
 func (c *Cache) Fill(lineAddr uint64, mask WayMask, dirty, prefetch bool) Result {
 	si := c.setIndex(lineAddr)
-	if w := c.lookup(si*c.assoc, c.valid[si], lineAddr); w >= 0 {
+	if w := c.lookup(si*c.assoc, lineAddr); w >= 0 {
 		// Already present (races with demand path); just refresh.
 		if dirty {
 			c.dirty[si] |= 1 << uint(w)
@@ -360,8 +378,8 @@ func (c *Cache) Fill(lineAddr uint64, mask WayMask, dirty, prefetch bool) Result
 // FillMiss is Fill for callers that know lineAddr is absent — the
 // demand-miss refill path, where the line just missed this cache and
 // nothing since could have inserted it (LLC back-invalidation only
-// removes lines). Skipping the presence scan saves a full set walk per
-// private-level miss.
+// removes lines), and the LLC prefetch refill after a missed probe.
+// Skipping the presence scan saves a full set walk per such fill.
 func (c *Cache) FillMiss(lineAddr uint64, mask WayMask, dirty, prefetch bool) Result {
 	ev := c.fill(c.setIndex(lineAddr), lineAddr, mask, dirty, prefetch)
 	return Result{Hit: false, Evicted: ev}
@@ -379,7 +397,8 @@ func (c *Cache) fill(si int, lineAddr uint64, mask WayMask, dirty, prefetch bool
 			c.stats.Writebacks++
 		}
 	}
-	c.tags[si*c.assoc+w] = lineAddr
+	c.slot = si*c.assoc + w
+	c.tags[c.slot] = lineAddr
 	c.valid[si] |= bit
 	if dirty {
 		c.dirty[si] |= bit
@@ -400,7 +419,7 @@ func (c *Cache) fill(si int, lineAddr uint64, mask WayMask, dirty, prefetch bool
 // it was found. Used to sink writebacks from an upper level.
 func (c *Cache) MarkDirty(lineAddr uint64) bool {
 	si := c.setIndex(lineAddr)
-	if w := c.lookup(si*c.assoc, c.valid[si], lineAddr); w >= 0 {
+	if w := c.lookup(si*c.assoc, lineAddr); w >= 0 {
 		c.dirty[si] |= 1 << uint(w)
 		return true
 	}
@@ -411,9 +430,10 @@ func (c *Cache) MarkDirty(lineAddr uint64) bool {
 // dirtiness. Used for inclusive-LLC back-invalidation.
 func (c *Cache) Invalidate(lineAddr uint64) (found, dirty bool) {
 	si := c.setIndex(lineAddr)
-	if w := c.lookup(si*c.assoc, c.valid[si], lineAddr); w >= 0 {
+	if w := c.lookup(si*c.assoc, lineAddr); w >= 0 {
 		bit := uint32(1) << uint(w)
 		dirty = c.dirty[si]&bit != 0
+		c.tags[si*c.assoc+w] = invalidTag
 		c.valid[si] &^= bit
 		c.dirty[si] &^= bit
 		c.mru[si] &^= bit
@@ -456,7 +476,7 @@ func (c *Cache) FlushAll() {
 	clear(c.dirty)
 	clear(c.mru)
 	clear(c.prefetched)
-	clear(c.tags)
+	c.invalidateTags()
 	if c.stamps != nil {
 		clear(c.stamps)
 	}

@@ -101,8 +101,25 @@ type Hierarchy struct {
 	stats []CoreStats
 	umons []*UMON // per-core shadow utility monitors (nil until attached)
 
+	// coreValid holds the core-valid bits of each LLC slot
+	// (set*assoc+way), as Sandy Bridge's inclusive LLC keeps them per
+	// line: core c is bit c%coreValidBits. They are a superset of the
+	// cores whose private caches hold the slot's line — every private
+	// fill follows an LLC hit or fill by the same core, or an L2 hit,
+	// which implies one since the slot was last filled — so an LLC
+	// eviction snoops only the marked cores.
+	coreValid []uint16
+
 	l1Full, l2Full WayMask // precomputed full masks for the private fills
 }
+
+// coreValidBits is the width of a core-valid entry. Above that many
+// cores the bits fold: core c shares bit c%coreValidBits with c±16, and
+// a snoop of a set bit visits every core that maps to it.
+const coreValidBits = 16
+
+// coreBit is core c's core-valid bit.
+func coreBit(c int) uint16 { return 1 << uint(c%coreValidBits) }
 
 // NewHierarchy builds the hierarchy with every core granted the full LLC
 // mask (the machine's power-on state).
@@ -118,6 +135,7 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		l1Full: FullMask(cfg.L1D.Assoc),
 		l2Full: FullMask(cfg.L2.Assoc),
 	}
+	h.coreValid = make([]uint16, len(h.llc.tags))
 	full := FullMask(cfg.LLC.Assoc)
 	for c := 0; c < cfg.Cores; c++ {
 		l1i := cfg.L1I
@@ -232,6 +250,7 @@ func (h *Hierarchy) Access(c int, lineAddr uint64, write, instr bool) AccessOutc
 	}
 	llcRes := h.llc.Access(lineAddr, false, h.masks[c])
 	if llcRes.Hit {
+		h.coreValid[h.llc.slot] |= coreBit(c)
 		out.Level = LevelLLC
 		out.HitPrefetched = llcRes.WasPrefetched
 	} else {
@@ -239,7 +258,7 @@ func (h *Hierarchy) Access(c int, lineAddr uint64, write, instr bool) AccessOutc
 		out.Level = LevelMem
 		out.DRAMReadBytes += h.cfg.LineBytes
 		st.DRAMReadBytes += uint64(h.cfg.LineBytes)
-		h.handleLLCEviction(llcRes.Evicted, &out, st)
+		h.handleLLCEviction(c, llcRes.Evicted, &out, st)
 	}
 
 	// Fill the private levels on the way back.
@@ -284,10 +303,17 @@ func (h *Hierarchy) sinkWriteback(lineAddr uint64, out *AccessOutcome, st *CoreS
 	st.DRAMWriteBytes += uint64(h.cfg.LineBytes)
 }
 
-// handleLLCEviction enforces inclusion: when the LLC displaces a line,
-// every private copy is invalidated; if any copy (or the LLC line) was
-// dirty, the line is written back to DRAM.
-func (h *Hierarchy) handleLLCEviction(ev Eviction, out *AccessOutcome, st *CoreStats) {
+// handleLLCEviction follows core c's LLC fill, which displaced ev from
+// the slot the fill took. The slot's core-valid bits become c's alone,
+// and inclusion is enforced: every private copy of ev is invalidated;
+// if any copy (or the LLC line) was dirty, the line is written back to
+// DRAM. Only the cores the displaced line's core-valid bits name can
+// hold a copy; invalidating an absent line changes nothing, so skipping
+// the others is exact.
+func (h *Hierarchy) handleLLCEviction(c int, ev Eviction, out *AccessOutcome, st *CoreStats) {
+	s := h.llc.slot
+	sharers := h.coreValid[s]
+	h.coreValid[s] = coreBit(c)
 	if !ev.Valid {
 		return
 	}
@@ -303,18 +329,20 @@ func (h *Hierarchy) handleLLCEviction(ev Eviction, out *AccessOutcome, st *CoreS
 		return
 	}
 	dirty := ev.Dirty
-	for c := 0; c < h.cfg.Cores; c++ {
-		if found, d := h.l1i[c].Invalidate(ev.LineAddr); found {
-			h.stats[c].BackInvalidations++
-			dirty = dirty || d
-		}
-		if found, d := h.l1d[c].Invalidate(ev.LineAddr); found {
-			h.stats[c].BackInvalidations++
-			dirty = dirty || d
-		}
-		if found, d := h.l2[c].Invalidate(ev.LineAddr); found {
-			h.stats[c].BackInvalidations++
-			dirty = dirty || d
+	for m := sharers; m != 0; m &= m - 1 {
+		for sc := bits.TrailingZeros16(m); sc < h.cfg.Cores; sc += coreValidBits {
+			if found, d := h.l1i[sc].Invalidate(ev.LineAddr); found {
+				h.stats[sc].BackInvalidations++
+				dirty = dirty || d
+			}
+			if found, d := h.l1d[sc].Invalidate(ev.LineAddr); found {
+				h.stats[sc].BackInvalidations++
+				dirty = dirty || d
+			}
+			if found, d := h.l2[sc].Invalidate(ev.LineAddr); found {
+				h.stats[sc].BackInvalidations++
+				dirty = dirty || d
+			}
 		}
 	}
 	if dirty {
@@ -333,12 +361,15 @@ func (h *Hierarchy) handleLLCEviction(ev Eviction, out *AccessOutcome, st *CoreS
 func (h *Hierarchy) PrefetchFill(c int, lineAddr uint64, intoL1 bool) AccessOutcome {
 	st := &h.stats[c]
 	out := AccessOutcome{}
-	if !h.llc.Probe(lineAddr) {
-		r := h.llc.Fill(lineAddr, h.masks[c], false, true)
+	if s := h.llc.find(lineAddr); s >= 0 {
+		// On chip: the probe leaves LLC replacement state alone.
+		h.coreValid[s] |= coreBit(c)
+	} else {
+		r := h.llc.FillMiss(lineAddr, h.masks[c], false, true)
 		out.DRAMReadBytes += h.cfg.LineBytes
 		st.DRAMReadBytes += uint64(h.cfg.LineBytes)
 		st.LLCPrefetchFills++
-		h.handleLLCEviction(r.Evicted, &out, st)
+		h.handleLLCEviction(c, r.Evicted, &out, st)
 	}
 	r := h.l2[c].Fill(lineAddr, h.l2Full, false, true)
 	if r.Evicted.Valid && r.Evicted.Dirty {
@@ -356,10 +387,11 @@ func (h *Hierarchy) PrefetchFill(c int, lineAddr uint64, intoL1 bool) AccessOutc
 }
 
 // CheckInclusion verifies the inclusive-LLC invariant: every valid line
-// in any L1 or L2 must be present in the LLC. It returns an error naming
-// the first violation; tests and the property suite call this. For a
-// non-inclusive hierarchy the invariant does not hold and the check is
-// a no-op.
+// in any L1 or L2 must be present in the LLC, and that LLC line's
+// core-valid bits must name the holding core (eviction snoops only the
+// named cores). It returns an error naming the first violation; tests
+// and the property suite call this. For a non-inclusive hierarchy the
+// invariant does not hold and the check is a no-op.
 func (h *Hierarchy) CheckInclusion() error {
 	if h.cfg.NonInclusiveLLC {
 		return nil
@@ -369,9 +401,14 @@ func (h *Hierarchy) CheckInclusion() error {
 			for si := 0; si < pc.numSets; si++ {
 				for vm := pc.valid[si]; vm != 0; vm &= vm - 1 {
 					addr := pc.tags[si*pc.assoc+bits.TrailingZeros32(vm)]
-					if !h.llc.Probe(addr) {
+					s := h.llc.find(addr)
+					if s < 0 {
 						return fmt.Errorf("inclusion violated: %s holds line %#x absent from LLC",
 							pc.cfg.Name, addr)
+					}
+					if h.coreValid[s]&coreBit(c) == 0 {
+						return fmt.Errorf("core-valid bits violated: %s holds line %#x but LLC slot %d lacks core %d's bit",
+							pc.cfg.Name, addr, s, c)
 					}
 				}
 			}
@@ -383,6 +420,7 @@ func (h *Hierarchy) CheckInclusion() error {
 // FlushAll empties every cache (between experiment runs only).
 func (h *Hierarchy) FlushAll() {
 	h.llc.FlushAll()
+	clear(h.coreValid)
 	for c := 0; c < h.cfg.Cores; c++ {
 		h.l1i[c].FlushAll()
 		h.l1d[c].FlushAll()

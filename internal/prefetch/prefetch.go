@@ -63,11 +63,28 @@ type ipEntry struct {
 	valid    bool
 }
 
-type streamEntry struct {
-	lastLine uint64
-	dir      int64 // +1 ascending, -1 descending
-	count    int8
-	valid    bool
+// noStream is the last line of an empty stream-table entry. Line
+// addresses are byte addresses shifted right by log2 of the line size,
+// so no line is within two lines of it and the match test needs no
+// validity check.
+const noStream = uint64(1) << 63
+
+// streamTable is a small fully-associative stream table stored
+// structure-of-arrays, so the match scan walks one contiguous array of
+// last-touched lines.
+type streamTable struct {
+	last  [streamTableSize]uint64 // last touched line; noStream when empty
+	dir   [streamTableSize]int8   // +1 ascending, -1 descending
+	count [streamTableSize]int8
+	clock int // round-robin allocation cursor
+}
+
+func newStreamTable() streamTable {
+	var t streamTable
+	for i := range t.last {
+		t.last[i] = noStream
+	}
+	return t
 }
 
 // streamKind selects the training rule: the DCU streamer (per §3.3)
@@ -91,11 +108,8 @@ type Unit struct {
 
 	ip [ipTableSize]ipEntry
 
-	dcuStreams [streamTableSize]streamEntry
-	dcuClock   int
-
-	mlcStreams [streamTableSize]streamEntry
-	mlcClock   int
+	dcuStreams streamTable
+	mlcStreams streamTable
 	mlcLast    uint64
 	mlcHasLast bool
 
@@ -104,7 +118,12 @@ type Unit struct {
 
 // NewUnit builds a prefetch engine with the given configuration.
 func NewUnit(cfg Config) *Unit {
-	return &Unit{cfg: cfg, scratch: make([]Request, 0, 4)}
+	return &Unit{
+		cfg:        cfg,
+		dcuStreams: newStreamTable(),
+		mlcStreams: newStreamTable(),
+		scratch:    make([]Request, 0, 4),
+	}
 }
 
 // Config returns the active configuration.
@@ -123,7 +142,7 @@ func (u *Unit) ObserveL1D(pc, lineAddr uint64) []Request {
 		u.observeIP(pc, lineAddr)
 	}
 	if u.cfg.DCUStreamer {
-		u.observeStream(&u.dcuStreams, &u.dcuClock, lineAddr, 1, true, &u.stats.IssuedDCUStreamer, dcuStream)
+		u.observeStream(&u.dcuStreams, lineAddr, 1, true, &u.stats.IssuedDCUStreamer, dcuStream)
 	}
 	return u.scratch
 }
@@ -136,7 +155,7 @@ func (u *Unit) ObserveL2(lineAddr uint64) []Request {
 		u.observeSpatial(lineAddr)
 	}
 	if u.cfg.MLCStreamer {
-		u.observeStream(&u.mlcStreams, &u.mlcClock, lineAddr, mlcAhead, false, &u.stats.IssuedMLCStreamer, mlcStream)
+		u.observeStream(&u.mlcStreams, lineAddr, mlcAhead, false, &u.stats.IssuedMLCStreamer, mlcStream)
 	}
 	return u.scratch
 }
@@ -169,67 +188,67 @@ func (u *Unit) observeIP(pc, lineAddr uint64) {
 
 // observeStream implements a direction-tracking next-line streamer over
 // a small fully-associative stream table.
-func (u *Unit) observeStream(tbl *[streamTableSize]streamEntry, clock *int, lineAddr uint64, ahead int64, intoL1 bool, issued *uint64, kind streamKind) {
-	// Find a stream this access extends: within 2 lines of the last
-	// touched line, in either direction.
-	for i := range tbl {
-		e := &tbl[i]
-		if !e.valid {
+func (u *Unit) observeStream(t *streamTable, lineAddr uint64, ahead int64, intoL1 bool, issued *uint64, kind streamKind) {
+	// Find the first stream this access extends: within 2 lines of the
+	// last touched line, in either direction (one unsigned compare).
+	for i := range t.last {
+		delta := lineAddr - t.last[i]
+		if delta+2 > 4 {
 			continue
 		}
-		delta := int64(lineAddr) - int64(e.lastLine)
 		if delta == 0 {
 			if kind == dcuStream {
 				// Multiple reads to a single line trigger the DCU
 				// streamer: from the second read on, it speculatively
 				// fetches the following lines.
-				if e.count < 4 {
-					e.count++
+				if t.count[i] < 4 {
+					t.count[i]++
 				}
+				dir := int64(t.dir[i])
 				*issued++
 				u.scratch = append(u.scratch, Request{
-					LineAddr: uint64(int64(lineAddr) + e.dir),
+					LineAddr: uint64(int64(lineAddr) + dir),
 					IntoL1:   intoL1,
 				})
-				if e.count >= 2 {
+				if t.count[i] >= 2 {
 					*issued++
 					u.scratch = append(u.scratch, Request{
-						LineAddr: uint64(int64(lineAddr) + 2*e.dir),
+						LineAddr: uint64(int64(lineAddr) + 2*dir),
 						IntoL1:   intoL1,
 					})
 				}
 			}
 			return
 		}
-		if delta >= -2 && delta <= 2 {
-			dir := int64(1)
-			if delta < 0 {
-				dir = -1
-			}
-			if e.dir == dir {
-				if e.count < 4 {
-					e.count++
-				}
-			} else {
-				e.dir = dir
-				e.count = 1
-			}
-			e.lastLine = lineAddr
-			if e.count >= 2 {
-				for k := int64(1); k <= ahead; k++ {
-					*issued++
-					u.scratch = append(u.scratch, Request{
-						LineAddr: uint64(int64(lineAddr) + dir*k),
-						IntoL1:   intoL1,
-					})
-				}
-			}
-			return
+		dir := int8(1)
+		if int64(delta) < 0 {
+			dir = -1
 		}
+		if t.dir[i] == dir {
+			if t.count[i] < 4 {
+				t.count[i]++
+			}
+		} else {
+			t.dir[i] = dir
+			t.count[i] = 1
+		}
+		t.last[i] = lineAddr
+		if t.count[i] >= 2 {
+			for k := int64(1); k <= ahead; k++ {
+				*issued++
+				u.scratch = append(u.scratch, Request{
+					LineAddr: uint64(int64(lineAddr) + int64(dir)*k),
+					IntoL1:   intoL1,
+				})
+			}
+		}
+		return
 	}
 	// Allocate a new stream, round-robin.
-	*clock = (*clock + 1) % streamTableSize
-	tbl[*clock] = streamEntry{lastLine: lineAddr, dir: 1, count: 0, valid: true}
+	t.clock = (t.clock + 1) % streamTableSize
+	t.last[t.clock] = lineAddr
+	t.dir[t.clock] = 1
+	t.count[t.clock] = 0
 }
 
 // observeSpatial implements the adjacent-line (128-byte pair) prefetcher:
