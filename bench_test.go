@@ -13,6 +13,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/loadgen"
+	"repro/internal/machine"
 	"repro/internal/model"
 	"repro/internal/rng"
 	"repro/internal/scenario"
@@ -249,7 +250,7 @@ func BenchmarkScenarioMix(b *testing.B) {
 	// measurement is one mix execution, so pin a static fair split.
 	s.Partition.Policy = scenario.PolicyRef{Name: scenario.PartitionFair}
 	r := sched.New(sched.Options{Scale: benchScale, DisableCache: true})
-	mix, err := s.Compile(r.MachineConfig())
+	mix, err := s.Compile(machine.Default())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -409,18 +410,11 @@ func BenchmarkFleetMega10k(b *testing.B) {
 
 // probeMix is the canonical profiling mix BenchmarkModelBuild harvests
 // from (the fleet fast tier's probeAloneMix shape).
-func probeMix(r *sched.Runner, app *workload.Profile) sched.MixSpec {
-	cfg := r.MachineConfig()
-	threads := sched.CapThreads(app, cfg.Cores/2*cfg.ThreadsPerCore)
-	slots := make([]int, threads)
-	for i := range slots {
-		slots[i] = i
-	}
-	return sched.MixSpec{
-		Jobs:     []sched.MixJob{{App: app, Threads: threads, Slots: slots, Seed: "single"}},
-		Setup:    model.ProbeSetup(),
-		ProbeKey: model.ProbeKey(),
-	}
+func probeMix(app *workload.Profile) sched.MixSpec {
+	cfg := machine.Default()
+	mix := sched.SingleSpec{App: app, Threads: cfg.Cores / 2 * cfg.ThreadsPerCore}.Mix(cfg)
+	mix.Setup, mix.ProbeKey = model.ProbeSetup(), model.ProbeKey()
+	return mix
 }
 
 // BenchmarkModelBuild isolates the analytic tier's own arithmetic: with
@@ -431,9 +425,9 @@ func BenchmarkModelBuild(b *testing.B) {
 	r := sched.New(sched.Options{Scale: benchScale})
 	fg := workload.MustByName("xalan")
 	bg := workload.MustByName("ferret")
-	fgRes := r.RunMix(probeMix(r, fg))
-	bgRes := r.RunMix(probeMix(r, bg))
-	cfg := r.MachineConfig()
+	fgRes := r.RunMix(probeMix(fg))
+	bgRes := r.RunMix(probeMix(bg))
+	cfg := machine.Default()
 	var pred model.PairPrediction
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

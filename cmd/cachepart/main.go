@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -229,7 +230,7 @@ func cmdRun(args []string) error {
 		return err
 	}
 	r := sess.Runner()
-	if assoc := r.MachineConfig().Hier.LLC.Assoc; *ways < 0 || *ways > assoc {
+	if assoc := machine.Default().Hier.LLC.Assoc; *ways < 0 || *ways > assoc {
 		return fmt.Errorf("run: ways %d out of [0,%d]", *ways, assoc)
 	}
 	res := r.Run(sched.SingleSpec{App: p, Threads: *threads, Ways: *ways})
@@ -292,7 +293,7 @@ func cmdPair(args []string) error {
 		return err
 	}
 	r := sess.Runner()
-	plan, err := partition.PairPlan(pol, r.MachineConfig(), r.Scale(), fp, bp)
+	plan, err := partition.PairPlan(pol, machine.Default(), r.Scale(), fp, bp)
 	if err != nil {
 		return err
 	}

@@ -12,6 +12,7 @@ import (
 	"log"
 
 	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/scenario"
 	"repro/internal/sched"
@@ -36,7 +37,7 @@ func main() {
 		// Each policy's partition plan lists the runs it needs (the
 		// biased sweep, the online episode, or the static split) and
 		// harvests the outcome from their results.
-		plan, err := partition.PairPlan(partition.MustNew(name, nil), r.MachineConfig(), r.Scale(), fg, bg)
+		plan, err := partition.PairPlan(partition.MustNew(name, nil), machine.Default(), r.Scale(), fg, bg)
 		if err != nil {
 			log.Fatal(err)
 		}

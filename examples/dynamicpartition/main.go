@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"repro/internal/machine"
 	"repro/internal/partition"
@@ -20,18 +21,17 @@ func main() {
 	fg := workload.MustByName("429.mcf")
 	bg := workload.MustByName("ferret")
 
-	// The registered dynamic policy's decision loop, sampling ~500
-	// times over the foreground run (as 100 ms relates to the paper's
-	// multi-minute executions).
+	// The registered dynamic policy's decision loop on the §5 pair,
+	// sampling ~500 times over the foreground run (as 100 ms relates to
+	// the paper's multi-minute executions). Passing &ctl keeps the run
+	// unmemoized, so the live loop's trace is there to print.
+	plan, err := partition.PairPlan(partition.MustNew("dynamic", nil), machine.Default(), scale, fg, bg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	var ctl *partition.Loop
-	res := r.Run(sched.PairSpec{
-		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
-		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-			ctl = partition.AttachLoop(m,
-				[]partition.LoopJob{{Job: fgJob, Latency: true}, {Job: bgJob}},
-				partition.MustNew("dynamic", nil), partition.SamplingInterval(fg, scale))
-		},
-	})
+	spec, _ := plan.LoopSpec(&ctl)
+	res := r.Run(spec)
 
 	fmt.Println("429.mcf under the dynamic controller (bg: ferret)")
 	fmt.Printf("%-12s  %-8s  %-5s  %s\n", "sim time (s)", "MPKI", "ways", "allocation")

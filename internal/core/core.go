@@ -13,7 +13,7 @@
 //	r := sess.Runner()
 //	fg, bg := workload.MustByName("429.mcf"), workload.MustByName("ferret")
 //	plan, _ := partition.PairPlan(partition.MustNew("dynamic", nil),
-//		r.MachineConfig(), r.Scale(), fg, bg)
+//		machine.Default(), r.Scale(), fg, bg)
 //	alone := r.Run(sched.AloneHalfSpec(fg)).Jobs[0].Seconds
 //	out := plan.Harvest(r.RunBatch(plan.Specs()), alone)
 //	fmt.Println(out.Main.Jobs[0].Seconds, out.Reallocations)

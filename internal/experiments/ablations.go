@@ -7,6 +7,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/prefetch"
+	"repro/internal/scenario"
 	"repro/internal/sched"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -87,13 +88,16 @@ func (c *Context) AblationSmallLLC() *Table {
 }
 
 // policySweepSpecs lists one pair's policy comparison on a platform:
-// the biased-search sweep (alone baseline plus every uneven split of
-// its LLC) and the shared run.
+// fg's alone baseline, the shared run and the biased plan's sweep
+// (every uneven split of its LLC).
 func policySweepSpecs(cfg machine.Config, fg, bg *workload.Profile) []sched.Spec {
-	search := partition.SearchSpecs(cfg, fg, bg)
-	specs := []sched.Spec{search[0],
+	plan, err := partition.PairPlan(partition.MustNew(scenario.PartitionBiased, nil), cfg, 0, fg, bg)
+	if err != nil {
+		panic("experiments: " + err.Error())
+	}
+	specs := []sched.Spec{sched.AloneHalfSpec(fg).Mix(cfg),
 		sched.PairSpec{Fg: fg, Bg: bg, Mode: sched.BackgroundLoop}.Mix(cfg)}
-	return append(specs, search[1:]...)
+	return append(specs, plan.Specs()...)
 }
 
 // policySlowdowns returns (shared, best-split) fg slowdowns from the
@@ -200,7 +204,7 @@ func (c *Context) AblationReplacement() *Table {
 
 	specs := make([]sched.SingleSpec, len(c.Reps))
 	for i, app := range c.Reps {
-		specs[i] = sched.SingleSpec{App: app, Threads: threadsFor(app, 4)}
+		specs[i] = sched.SingleSpec{App: app, Threads: 4}
 	}
 	secs := c.secondsOn(specs, machine.Default(), lru, rnd)
 	for i, app := range c.Reps {

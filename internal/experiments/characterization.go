@@ -247,7 +247,7 @@ func (c *Context) Table2LLCUtility() *Table2Result {
 	// run whose LLC accesses the table reports.
 	sweeps := make([][]sched.Spec, len(c.Apps))
 	for i, app := range c.Apps {
-		threads := threadsFor(app, 4)
+		threads := sched.CapThreads(app, 4)
 		sweeps[i] = append(c.capacitySpecs(app, threads), sched.SingleSpec{App: app, Threads: threads})
 	}
 

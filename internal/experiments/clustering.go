@@ -17,7 +17,7 @@ func (c *Context) featureSpecs(app *workload.Profile) []sched.Spec {
 	for th := 2; th <= 8; th++ {
 		specs = append(specs, sched.SingleSpec{App: app, Threads: th})
 	}
-	threads := threadsFor(app, 4)
+	threads := sched.CapThreads(app, 4)
 	for w := 2; w <= 12; w++ {
 		specs = append(specs, sched.SingleSpec{App: app, Threads: threads, Ways: w})
 	}

@@ -72,42 +72,6 @@ func (c *Context) runSweeps(sweeps [][]sched.Spec) [][]*machine.Result {
 	return out
 }
 
-// pairMix describes the §5 co-run shape — a 4-thread latency-sensitive
-// foreground with a 4-thread co-runner, packed onto disjoint core
-// halves — as a declarative scenario. fgWays/bgWays of 0/0 leave the
-// LLC shared; a non-zero split pins the foreground to the low ways and
-// the co-runner to the high ways. once=true runs the co-runner to
-// completion instead of looping (the §5.3 consolidation accounting).
-func pairMix(assoc int, fg, bg *workload.Profile, fgWays, bgWays int, once bool) *scenario.Scenario {
-	loop := !once
-	s := &scenario.Scenario{
-		Name: "pair",
-		Jobs: []scenario.JobDef{
-			{App: fg.Name, Role: scenario.RoleLatency, Threads: 4},
-			{App: bg.Name, Role: scenario.RoleBatch, Threads: 4, Loop: &loop},
-		},
-	}
-	if fgWays > 0 || bgWays > 0 {
-		s.Partition.Policy = scenario.PolicyRef{Name: scenario.PartitionExplicit}
-		s.Jobs[0].Ways = &[2]int{0, fgWays}
-		s.Jobs[1].Ways = &[2]int{assoc - bgWays, assoc}
-	}
-	return s
-}
-
-// pairRun compiles the §5 pair shape down to the engine's mix spec.
-// The compiled mix reduces to the same memo entry as sched.PairSpec's
-// mix, so scenario-expressed drivers dedup against the partition plans
-// (partition.PairPlan) and each other.
-func (c *Context) pairRun(fg, bg *workload.Profile, fgWays, bgWays int, once bool) sched.Spec {
-	cfg := c.R.MachineConfig()
-	mix, err := pairMix(cfg.Hier.LLC.Assoc, fg, bg, fgWays, bgWays, once).Compile(cfg)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return mix
-}
-
 // multiRun compiles the §6.3 multi-peer shape — the foreground with n
 // continuously-looping copies of bg, one core each — as a scenario.
 func (c *Context) multiRun(fg, bg *workload.Profile, n int) sched.Spec {
@@ -123,18 +87,11 @@ func (c *Context) multiRun(fg, bg *workload.Profile, n int) sched.Spec {
 			Seed: fmt.Sprintf("bg%d", i),
 		})
 	}
-	mix, err := s.Compile(c.R.MachineConfig())
+	mix, err := s.Compile(machine.Default())
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
 	return mix
-}
-
-// threadsFor caps a requested operating point by the application's
-// parallelism. Delegating to the engine's rule keeps planned batch
-// specs aligned with what each spec's execution will actually run.
-func threadsFor(app *workload.Profile, want int) int {
-	return sched.CapThreads(app, want)
 }
 
 // f formats a float compactly for table cells.

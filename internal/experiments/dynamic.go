@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/partition"
 	"repro/internal/perfmon"
@@ -14,30 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// controllerInterval sizes the sampling period; the rule is shared
-// with every online partition plan through partition.SamplingInterval.
-func (c *Context) controllerInterval(fg *workload.Profile) float64 {
-	return partition.SamplingInterval(fg, c.R.Scale())
-}
-
-// dynamicSpec builds the §6 controller run as a dynamic-policy
-// scenario compiled to a batchable spec. The attached decision loop is
-// stored through lp when the caller needs its MPKI/ways time series;
-// such specs are never memoized, so each batched run attaches its own
-// fresh loop and RunBatch's completion barrier publishes the write to
-// the caller. With lp nil the spec is memoizable under the policy's
-// run key, like any other shape.
-func (c *Context) dynamicSpec(fg, bg *workload.Profile, lp **partition.Loop) sched.Spec {
-	cfg := c.R.MachineConfig()
-	s := pairMix(cfg.Hier.LLC.Assoc, fg, bg, 0, 0, false)
-	s.Partition.Policy = scenario.PolicyRef{Name: scenario.PartitionDynamic}
-	mix, err := s.CompileOnline(cfg, c.R.Scale(), lp)
-	if err != nil {
-		panic("experiments: " + err.Error())
-	}
-	return mix
-}
-
 // Fig12Phases reproduces Figure 12: 429.mcf's MPKI over time under each
 // static allocation and under the dynamic controller. For static
 // allocations mcf runs against a ferret background confined to the
@@ -45,7 +20,10 @@ func (c *Context) dynamicSpec(fg, bg *workload.Profile, lp **partition.Loop) sch
 func (c *Context) Fig12Phases() *Table {
 	mcf := workload.MustByName("429.mcf")
 	bg := workload.MustByName("ferret")
-	interval := c.controllerInterval(mcf)
+	interval := partition.SamplingInterval(mcf, c.R.Scale())
+	cfg := machine.Default()
+	assoc := cfg.Hier.LLC.Assoc
+	dynamic := partition.MustNew(scenario.PartitionDynamic, nil)
 
 	t := &Table{Title: "Figure 12: 429.mcf MPKI by phase and LLC allocation",
 		Columns: []string{"allocation", "phase-min MPKI", "phase-max MPKI", "mean MPKI", "fg time(s)"}}
@@ -62,26 +40,21 @@ func (c *Context) Fig12Phases() *Table {
 	}
 
 	// All static allocations plus the dynamic run go out as one batch;
-	// each run's Setup hook installs a private sampler, and results come
-	// back in allocation order.
+	// each static run's Setup hook installs a private sampler, and
+	// results come back in allocation order.
 	allocs := []int{2, 3, 5, 7, 9, 11}
 	samplers := make([]*perfmon.Sampler, len(allocs))
 	var ctl *partition.Loop
 	specs := make([]sched.Spec, 0, len(allocs)+1)
 	for i, w := range allocs {
-		specs = append(specs, sched.PairSpec{
-			Fg: mcf, Bg: bg, Mode: sched.BackgroundLoop,
-			Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-				// Static split applied through the same mask mechanism.
-				m.Hierarchy().SetWayMask(fgJob.Cores()[0], cache.MaskFirstN(w))
-				for _, core := range bgJob.Cores() {
-					m.Hierarchy().SetWayMask(core, cache.MaskRange(w, 12))
-				}
-				samplers[i] = perfmon.NewSampler(m, fgJob, interval, func() int { return w })
-			},
-		})
+		mix := sched.PairSpec{Fg: mcf, Bg: bg, FgWays: w, BgWays: assoc - w, Mode: sched.BackgroundLoop}.Mix(cfg)
+		mix.Setup = func(m *machine.Machine, jobs []*machine.Job) {
+			samplers[i] = perfmon.NewSampler(m, jobs[0], interval, func() int { return w })
+		}
+		specs = append(specs, mix)
 	}
-	specs = append(specs, c.dynamicSpec(mcf, bg, &ctl))
+	dyn, _ := c.pairPlan(dynamic, mcf, bg).LoopSpec(&ctl)
+	specs = append(specs, dyn)
 	results := c.R.RunBatch(specs)
 
 	for i, ways := range allocs {
@@ -93,7 +66,7 @@ func (c *Context) Fig12Phases() *Table {
 	res := results[len(allocs)]
 	lo, hi, mean := summarize(ctl.Samples())
 	t.Add("dynamic", f(lo), f(hi), f(mean), fmt.Sprintf("%.4f", res.JobByName(mcf.Name).Seconds))
-	minW, maxW := 12, 0
+	minW, maxW := assoc, 0
 	for _, s := range ctl.Samples() {
 		if s.Ways < minW {
 			minW = s.Ways
@@ -132,11 +105,13 @@ func (c *Context) Fig13DynamicThroughput() *Fig13Result {
 	// search's splits, the shared run and the dynamic controller's run,
 	// and every pair goes out in one batch.
 	protective := partition.MustNew(scenario.PartitionBiased, json.RawMessage(`{"rule":"foreground"}`))
+	dynamic := partition.MustNew(scenario.PartitionDynamic, nil)
 	var sweeps [][]sched.Spec
 	for _, fg := range c.Reps {
 		for _, bg := range c.Reps {
 			sweep := append([]sched.Spec{sched.AloneHalfSpec(fg)}, c.pairPlan(protective, fg, bg).Specs()...)
-			sweeps = append(sweeps, append(sweep, c.pairRun(fg, bg, 0, 0, false), c.dynamicSpec(fg, bg, nil)))
+			sweep = append(sweep, sched.PairSpec{Fg: fg, Bg: bg, Mode: sched.BackgroundLoop})
+			sweeps = append(sweeps, append(sweep, c.pairPlan(dynamic, fg, bg).Specs()...))
 		}
 	}
 	results := c.runSweeps(sweeps)

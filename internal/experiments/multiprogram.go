@@ -43,7 +43,7 @@ func (c *Context) Fig8Heatmap(fgApps, bgApps []*workload.Profile) *Fig8Result {
 	for _, fg := range fgApps {
 		specs = append(specs, sched.AloneHalfSpec(fg))
 		for _, bg := range bgApps {
-			specs = append(specs, c.pairRun(fg, bg, 0, 0, false))
+			specs = append(specs, sched.PairSpec{Fg: fg, Bg: bg, Mode: sched.BackgroundLoop})
 		}
 	}
 	results := c.R.RunBatch(specs)
@@ -126,7 +126,7 @@ type Fig9Result struct {
 
 // pairPlan is pol's partition plan on the §5 pair.
 func (c *Context) pairPlan(pol partition.Policy, fg, bg *workload.Profile) *partition.Plan {
-	plan, err := partition.PairPlan(pol, c.R.MachineConfig(), c.R.Scale(), fg, bg)
+	plan, err := partition.PairPlan(pol, machine.Default(), c.R.Scale(), fg, bg)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
@@ -259,7 +259,8 @@ func (c *Context) Fig10and11Consolidation() (*Table, *Table, []ConsolidationOutc
 			_, outs := c.staticOutcomes(a, b, plans[0])
 			plans = plans[1:]
 			for _, out := range outs {
-				stage2 = append(stage2, c.pairRun(a, b, out.Ways(0), out.Ways(1), true))
+				stage2 = append(stage2, sched.PairSpec{Fg: a, Bg: b,
+					FgWays: out.Ways(0), BgWays: out.Ways(1), Mode: sched.BothOnce})
 			}
 		}
 	}

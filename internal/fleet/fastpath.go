@@ -16,8 +16,8 @@ import (
 // aloneMix's — the fast tiers' alone baselines are exact — while the
 // ProbeKey gives the run a memo/disk key that can never alias the
 // unprobed mix (or another model version).
-func (h halfMixes) probeAloneMix(app *workload.Profile) sched.MixSpec {
-	mix := h.aloneMix(app)
+func (o *oracle) probeAloneMix(app *workload.Profile) sched.MixSpec {
+	mix := o.aloneMix(app)
 	mix.Setup = model.ProbeSetup()
 	mix.ProbeKey = model.ProbeKey()
 	return mix
@@ -29,7 +29,7 @@ func (h halfMixes) probeAloneMix(app *workload.Profile) sched.MixSpec {
 // borderline pairs whose predicted request slowdown lands within the
 // fleet's fast_margin of slowdown_limit (the band where an analytic
 // error could flip a pack-partition admission decision).
-func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, plans []*partition.Plan,
+func (o *oracle) buildFast(r *sched.Runner, d *Def, plans []*partition.Plan,
 	fgs, bgs []string, apps map[string]*workload.Profile, fid Fidelity, span obs.SpanID) error {
 	o.fid = fid
 
@@ -42,7 +42,7 @@ func (o *oracle) buildFast(r *sched.Runner, d *Def, h halfMixes, plans []*partit
 		}
 		probeAt[name] = len(specs)
 		order = append(order, name)
-		specs = append(specs, h.probeAloneMix(apps[name]))
+		specs = append(specs, o.probeAloneMix(apps[name]))
 	}
 	results := r.RunBatchIn(sched.BatchInfo{Span: span, Phase: "probe"}, specs)
 

@@ -37,8 +37,9 @@ type pairPerf struct {
 // single-machine simulations through the sched engine as one batch:
 // the alone baselines plus each co-location's partition-plan runs (the
 // biased way sweep, an online policy's episode, or a static split).
-// All memoizable specs use the canonical mix shapes, so a fleet run
-// deduplicates against pair/single runs any other driver has done.
+// Every memoizable spec is built by sched.PairSpec or SingleSpec, so
+// a fleet run deduplicates against pair/single runs any other driver
+// has done.
 type oracle struct {
 	cfg machine.Config
 
@@ -103,50 +104,11 @@ func (o *oracle) setAlone(name string, res *machine.Result, scale float64) error
 	return nil
 }
 
-// halfMixes builds the canonical mix shapes on the fleet's platform.
-type halfMixes struct {
-	cfg machine.Config
-}
-
-// aloneMix is an application alone on the front half: the same shape
-// (threads, slots, seed) as sched.AloneHalfSpec, so it shares that
+// aloneMix is app alone on a machine's front half with the full LLC:
+// the pair's foreground thread cap, so it shares sched.AloneHalfSpec's
 // memo entry on the default platform.
-func (h halfMixes) aloneMix(app *workload.Profile) sched.MixSpec {
-	threads := sched.CapThreads(app, h.cfg.Cores/2*h.cfg.ThreadsPerCore)
-	slots := make([]int, threads)
-	for i := range slots {
-		slots[i] = i
-	}
-	return sched.MixSpec{
-		Jobs:    []sched.MixJob{{App: app, Threads: threads, Slots: slots, Seed: "single"}},
-		Machine: sched.Platform(h.cfg),
-	}
-}
-
-// pairMix is the §5 pair on the fleet's platform at the full cache:
-// the request on the front cores, the batch occupant looping on the
-// back cores — the mix each co-location's partition plan prices.
-// Identical to sched.PairSpec's mix on the default platform.
-func (h halfMixes) pairMix(fg, bg *workload.Profile) partition.Mix {
-	half := h.cfg.Cores / 2
-	frontCores := make([]int, half)
-	backCores := make([]int, half)
-	for i := 0; i < half; i++ {
-		frontCores[i], backCores[i] = i, half+i
-	}
-	htPerHalf := half * h.cfg.ThreadsPerCore
-	return partition.Mix{
-		Spec: sched.MixSpec{
-			Jobs: []sched.MixJob{
-				{App: fg, Threads: sched.CapThreads(fg, htPerHalf),
-					Slots: h.cfg.SlotsForCores(frontCores...), Seed: "fg"},
-				{App: bg, Threads: sched.CapThreads(bg, htPerHalf),
-					Slots: h.cfg.SlotsForCores(backCores...), Background: true, Seed: "bg"},
-			},
-			Machine: sched.Platform(h.cfg),
-		},
-		Latency: []bool{true, false},
-	}
+func (o *oracle) aloneMix(app *workload.Profile) sched.MixSpec {
+	return sched.SingleSpec{App: app, Threads: o.cfg.Cores / 2 * o.cfg.ThreadsPerCore}.Mix(o.cfg)
 }
 
 // buildOracle plans and executes every simulation the fleet run needs
@@ -160,14 +122,13 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 	// End is idempotent: error paths end the span bare, the success
 	// path ends it with pair-table attrs first.
 	defer osp.End()
-	cfg := r.MachineConfig()
+	cfg := machine.Default()
 	if d.Cores > 0 && d.Cores != cfg.Cores {
 		cfg = machine.DefaultWithCores(d.Cores)
 	}
 	if cfg.Cores < 2 || cfg.Cores%2 != 0 {
 		return nil, fmt.Errorf("fleet: machines need an even core count >= 2, got %d", cfg.Cores)
 	}
-	h := halfMixes{cfg: cfg}
 	assoc := cfg.Hier.LLC.Assoc
 
 	o := &oracle{
@@ -215,7 +176,7 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 	plans := make([]*partition.Plan, len(o.pair)) // by slot
 	for _, fg := range fgs {
 		for _, bg := range allBgs {
-			plan, err := partition.NewPlan(pol, h.pairMix(apps[fg], apps[bg]), cfg, r.Scale())
+			plan, err := partition.PairPlan(pol, cfg, r.Scale(), apps[fg], apps[bg])
 			if err != nil {
 				return nil, fmt.Errorf("fleet: partition mode %s: %w", d.partition(), err)
 			}
@@ -227,7 +188,7 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 		// The analytic tiers replace the per-pair simulations with MRC
 		// predictions (re-simulating borderline pairs under auto); the
 		// alone baselines stay exact in every tier.
-		if err := o.buildFast(r, d, h, plans, fgs, allBgs, apps, fid, osp.ID()); err != nil {
+		if err := o.buildFast(r, d, plans, fgs, allBgs, apps, fid, osp.ID()); err != nil {
 			return nil, err
 		}
 		osp.End(obs.Int("alone", len(o.names)), obs.Int("pairs", npairs))
@@ -237,11 +198,11 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 	// One batch prices every app's alone baseline and each (fg, bg)
 	// co-location. Event-only apps follow in their own "replace" batch,
 	// which dedups against the first through the same memo keys.
-	if err := o.exactBatch(r, h, apps, plans, osp.ID(), "oracle", slices.Concat(fgs, bgs), fgs, bgs); err != nil {
+	if err := o.exactBatch(r, apps, plans, osp.ID(), "oracle", slices.Concat(fgs, bgs), fgs, bgs); err != nil {
 		return nil, err
 	}
 	if len(evBgs) > 0 {
-		if err := o.exactBatch(r, h, apps, plans, osp.ID(), "replace", evBgs, fgs, evBgs); err != nil {
+		if err := o.exactBatch(r, apps, plans, osp.ID(), "replace", evBgs, fgs, evBgs); err != nil {
 			return nil, err
 		}
 	}
@@ -254,7 +215,7 @@ func buildOracle(r *sched.Runner, d *Def, parent obs.SpanID) (*oracle, error) {
 // the plan runs of every (fg, bg) co-location. It fills the oracle's
 // alone and pair tables from the results, harvesting alone runs in ID
 // order so the first too-short run reported is deterministic.
-func (o *oracle) exactBatch(r *sched.Runner, h halfMixes, apps map[string]*workload.Profile,
+func (o *oracle) exactBatch(r *sched.Runner, apps map[string]*workload.Profile,
 	plans []*partition.Plan, span obs.SpanID, phase string, alone, fgs, bgs []string) error {
 	var specs []sched.Spec
 	aloneAt := map[string]int{}
@@ -263,7 +224,7 @@ func (o *oracle) exactBatch(r *sched.Runner, h halfMixes, apps map[string]*workl
 			continue
 		}
 		aloneAt[name] = len(specs)
-		specs = append(specs, h.aloneMix(apps[name]))
+		specs = append(specs, o.aloneMix(apps[name]))
 	}
 	pairAt := map[int]int{} // first spec index of the pair's runs, by slot
 	for _, fg := range fgs {

@@ -4,22 +4,16 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
 
 // probeAloneSpec builds the canonical alone-half mix with the profiling
 // monitor attached — the shape the fleet's fast tier profiles with.
-func probeAloneSpec(r *sched.Runner, app *workload.Profile, probe bool) sched.MixSpec {
-	cfg := r.MachineConfig()
-	threads := sched.CapThreads(app, cfg.Cores/2*cfg.ThreadsPerCore)
-	slots := make([]int, threads)
-	for i := range slots {
-		slots[i] = i
-	}
-	mix := sched.MixSpec{
-		Jobs: []sched.MixJob{{App: app, Threads: threads, Slots: slots, Seed: "single"}},
-	}
+func probeAloneSpec(app *workload.Profile, probe bool) sched.MixSpec {
+	cfg := machine.Default()
+	mix := sched.SingleSpec{App: app, Threads: cfg.Cores / 2 * cfg.ThreadsPerCore}.Mix(cfg)
 	if probe {
 		mix.Setup = ProbeSetup()
 		mix.ProbeKey = ProbeKey()
@@ -30,8 +24,8 @@ func probeAloneSpec(r *sched.Runner, app *workload.Profile, probe bool) sched.Mi
 func buildProfile(t *testing.T, r *sched.Runner, name string) *Profile {
 	t.Helper()
 	app := workload.MustByName(name)
-	res := r.RunMix(probeAloneSpec(r, app, true))
-	p, err := NewProfile(name, app.MLP, res, 0, r.MachineConfig())
+	res := r.RunMix(probeAloneSpec(app, true))
+	p, err := NewProfile(name, app.MLP, res, 0, machine.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +38,8 @@ func buildProfile(t *testing.T, r *sched.Runner, name string) *Profile {
 func TestProbeShadowOnly(t *testing.T) {
 	r := sched.New(sched.Options{Scale: sched.QuickScale})
 	app := workload.MustByName("xalan")
-	plain := r.RunMix(probeAloneSpec(r, app, false))
-	probed := r.RunMix(probeAloneSpec(r, app, true))
+	plain := r.RunMix(probeAloneSpec(app, false))
+	probed := r.RunMix(probeAloneSpec(app, true))
 	if probed.Probe == nil || len(probed.Probe.Jobs) != 1 {
 		t.Fatal("probing run carries no probe trace")
 	}
@@ -59,8 +53,8 @@ func TestProbeShadowOnly(t *testing.T) {
 
 	// The two runs must nonetheless occupy distinct memo keys, and the
 	// probe key must carry the model version.
-	pk := probeAloneSpec(r, app, true).Key(r)
-	nk := probeAloneSpec(r, app, false).Key(r)
+	pk := probeAloneSpec(app, true).Key(r)
+	nk := probeAloneSpec(app, false).Key(r)
 	if pk == "" {
 		t.Fatal("probing mix is not memoizable")
 	}
@@ -105,7 +99,7 @@ func TestEstimatorSanity(t *testing.T) {
 	r := sched.New(sched.Options{Scale: sched.QuickScale})
 	fg := buildProfile(t, r, "xalan")
 	bg := buildProfile(t, r, "ferret")
-	e := NewEstimator(r.MachineConfig())
+	e := NewEstimator(machine.Default())
 	assoc := e.Assoc()
 
 	prev, first, last := -1.0, 0.0, 0.0

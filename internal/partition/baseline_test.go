@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -13,7 +14,7 @@ import (
 // and Harvest, and returns the outcome with fg's alone time.
 func priceBiased(t *testing.T, r *sched.Runner, params string, fg, bg *workload.Profile) (Outcome, float64) {
 	t.Helper()
-	plan, err := PairPlan(MustNew("biased", json.RawMessage(params)), r.MachineConfig(), r.Scale(), fg, bg)
+	plan, err := PairPlan(MustNew("biased", json.RawMessage(params)), machine.Default(), r.Scale(), fg, bg)
 	if err != nil {
 		t.Fatal(err)
 	}

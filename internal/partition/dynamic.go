@@ -300,7 +300,7 @@ func (d *dynamicRun) step(cur float64) {
 		case hurt:
 			// MPKI rose above the phase floor: give back capacity and
 			// settle.
-			d.setFgWays(minInt(d.fgWays+2, d.cfg.MaxFgWays))
+			d.setFgWays(min(d.fgWays+2, d.cfg.MaxFgWays))
 			d.phaseStarts = false
 		case !flattened:
 			// Still warming (MPKI moving): no shrink decisions yet.
@@ -325,11 +325,4 @@ func (d *dynamicRun) step(cur float64) {
 			d.setFgWays(d.cfg.MaxFgWays)
 		}
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

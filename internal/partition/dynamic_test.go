@@ -82,13 +82,12 @@ func TestControllerPreservesForegroundPerformance(t *testing.T) {
 func attachControllerPair(t *testing.T, r *sched.Runner, fg, bg *workload.Profile) (*Loop, *machine.Result) {
 	t.Helper()
 	var loop *Loop
-	res := r.Run(sched.PairSpec{
-		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
-		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-			loop = AttachLoop(m, []LoopJob{{Job: fgJob, Latency: true}, {Job: bgJob}},
-				MustNew("dynamic", nil), SamplingInterval(fg, r.Scale()))
-		},
-	})
+	mix := sched.PairSpec{Fg: fg, Bg: bg, Mode: sched.BackgroundLoop}.Mix(machine.Default())
+	mix.Setup = func(m *machine.Machine, jobs []*machine.Job) {
+		loop = AttachLoop(m, []LoopJob{{Job: jobs[0], Latency: true}, {Job: jobs[1]}},
+			MustNew("dynamic", nil), SamplingInterval(fg, r.Scale()))
+	}
+	res := r.Run(mix)
 	return loop, res
 }
 
@@ -101,13 +100,12 @@ func TestAttachValidation(t *testing.T) {
 			t.Fatal("zero interval accepted")
 		}
 	}()
-	r.Run(sched.PairSpec{
-		Fg: fg, Bg: bg, Mode: sched.BackgroundLoop,
-		Setup: func(m *machine.Machine, fgJob, bgJob *machine.Job) {
-			AttachLoop(m, []LoopJob{{Job: fgJob, Latency: true}, {Job: bgJob}},
-				MustNew("dynamic", nil), 0) // no interval
-		},
-	})
+	mix := sched.PairSpec{Fg: fg, Bg: bg, Mode: sched.BackgroundLoop}.Mix(machine.Default())
+	mix.Setup = func(m *machine.Machine, jobs []*machine.Job) {
+		AttachLoop(m, []LoopJob{{Job: jobs[0], Latency: true}, {Job: jobs[1]}},
+			MustNew("dynamic", nil), 0) // no interval
+	}
+	r.Run(mix)
 }
 
 func TestRelDelta(t *testing.T) {

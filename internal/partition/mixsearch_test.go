@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/workload"
 )
@@ -66,7 +67,7 @@ func TestPickBiasedCriterion(t *testing.T) {
 // a sane split.
 func TestBestBiasedJobList(t *testing.T) {
 	r := sched.New(sched.Options{Scale: 3e-4})
-	cfg := r.MachineConfig()
+	cfg := machine.Default()
 	fg := workload.MustByName("429.mcf")
 	bg := workload.MustByName("ferret")
 	mix := sched.MixSpec{Jobs: []sched.MixJob{

@@ -27,24 +27,12 @@ import (
 // background-friendly (hiding the gains Figures 9/13 report).
 const slowdownTieEps = 0.002
 
-// PairPlan prices pol on the §5 pair: fg on cores 0-1 as the latency
-// job beside bg looping on cores 2-3 (sched.PairSpec's placement and
-// seeds), on the given platform.
+// PairPlan prices pol on the §5 pair: fg on the front half of the
+// cores as the latency job beside bg looping on the back half
+// (sched.PairSpec's placement and seeds), on the given platform.
 func PairPlan(pol Policy, cfg machine.Config, scale float64, fg, bg *workload.Profile) (*Plan, error) {
 	pair := sched.PairSpec{Fg: fg, Bg: bg, Mode: sched.BackgroundLoop}
 	return NewPlan(pol, Mix{Spec: pair.Mix(cfg), Latency: []bool{true, false}}, cfg, scale)
-}
-
-// SearchSpecs lists every run the exhaustive biased search for a pair
-// needs on the given platform — the foreground-alone baseline plus each
-// uneven split, all on that platform — so experiment drivers can batch
-// the searches of many pairs up front.
-func SearchSpecs(cfg machine.Config, fg, bg *workload.Profile) []sched.Spec {
-	plan, err := PairPlan(biasedPolicy{}, cfg, 0, fg, bg)
-	if err != nil {
-		panic(err.Error()) // the pair shape has the one latency job a search needs
-	}
-	return append([]sched.Spec{sched.AloneHalfSpec(fg).Mix(cfg)}, plan.Specs()...)
 }
 
 // Candidate is one allocation's measured (or, on the fast tier,

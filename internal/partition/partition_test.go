@@ -73,9 +73,9 @@ func TestBestBiasedSearch(t *testing.T) {
 
 // TestBestBiasedSmallLLC: the search sweeps the LLC of the platform
 // its specs name. On the small-LLC ablation platform (2 MB, 8 ways),
-// run on a default runner, SearchSpecs lists the baseline and 7
-// splits, and the plan's Harvest picks the searcher's choice over that
-// sweep, a split in [1,7].
+// run on a default runner, fg's alone baseline and the biased plan's
+// specs are the baseline and 7 splits, and the plan's Harvest picks
+// the searcher's choice over that sweep, a split in [1,7].
 func TestBestBiasedSmallLLC(t *testing.T) {
 	cfg := machine.Default()
 	cfg.Hier.LLC.SizeBytes = 2 << 20
@@ -84,7 +84,11 @@ func TestBestBiasedSmallLLC(t *testing.T) {
 	fg := workload.MustByName("429.mcf")
 	bg := workload.MustByName("ferret")
 
-	specs := SearchSpecs(cfg, fg, bg)
+	plan, err := PairPlan(MustNew("biased", nil), cfg, r.Scale(), fg, bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := append([]sched.Spec{sched.AloneHalfSpec(fg).Mix(cfg)}, plan.Specs()...)
 	if len(specs) != 8 {
 		t.Fatalf("%d search specs, want the baseline plus 7 splits", len(specs))
 	}
@@ -105,10 +109,6 @@ func TestBestBiasedSmallLLC(t *testing.T) {
 			BgThroughput: res.Jobs[1].Iterations,
 		})
 	}
-	plan, err := PairPlan(MustNew("biased", nil), cfg, r.Scale(), fg, bg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	out := plan.Harvest(results[1:], alone)
 	if out.LatencyWays < 1 || out.LatencyWays > 7 {
 		t.Fatalf("split %d ways on an 8-way LLC", out.LatencyWays)
@@ -128,7 +128,7 @@ func TestPlanPairPolicies(t *testing.T) {
 	bg := workload.MustByName("dedup")
 	alone := r.Run(sched.AloneHalfSpec(fg)).Jobs[0].Seconds
 	for _, name := range Names() {
-		plan, err := PairPlan(MustNew(name, nil), r.MachineConfig(), r.Scale(), fg, bg)
+		plan, err := PairPlan(MustNew(name, nil), machine.Default(), r.Scale(), fg, bg)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -159,7 +159,7 @@ func TestPlanPairPolicies(t *testing.T) {
 func TestPlanDynamicReallocates(t *testing.T) {
 	r := sched.New(sched.Options{Scale: 1e-3})
 	fg := workload.MustByName("429.mcf")
-	plan, err := PairPlan(MustNew("dynamic", nil), r.MachineConfig(), r.Scale(), fg, workload.MustByName("ferret"))
+	plan, err := PairPlan(MustNew("dynamic", nil), machine.Default(), r.Scale(), fg, workload.MustByName("ferret"))
 	if err != nil {
 		t.Fatal(err)
 	}

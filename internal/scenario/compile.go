@@ -48,10 +48,6 @@ type Plan struct {
 	pricing *partition.Plan // the partition policy priced on this mix
 }
 
-func placementPolicy(name string) (machine.PlacementPolicy, error) {
-	return machine.PlacementPolicyByName(name)
-}
-
 // Plan resolves the scenario against the given platform template:
 // machine override, job expansion (replicas, default threads and
 // seeds), placement planning, and static way assignment. Everything a
@@ -136,7 +132,7 @@ func (s *Scenario) plan(base machine.Config, scale float64) (*Plan, error) {
 	}
 
 	// Placement.
-	pol, err := placementPolicy(s.Placement.Policy)
+	pol, err := machine.PlacementPolicyByName(s.Placement.Policy)
 	if err != nil {
 		return nil, err
 	}

@@ -59,7 +59,7 @@ func Run(r *sched.Runner, s *Scenario, parent obs.SpanID) (*Report, error) {
 	tr := r.Tracer()
 	t0 := time.Now()
 	csp := tr.Start("compile", parent)
-	p, err := s.plan(r.MachineConfig(), r.Scale())
+	p, err := s.plan(machine.Default(), r.Scale())
 	csp.End()
 	r.AddPhase("compile", time.Since(t0))
 	if err != nil {

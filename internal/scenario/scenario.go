@@ -309,7 +309,7 @@ func (s *Scenario) Validate() error {
 		return fmt.Errorf("scenario %q: every job loops; at least one must terminate the run", s.Name)
 	}
 
-	pol, err := placementPolicy(s.Placement.Policy)
+	pol, err := machine.PlacementPolicyByName(s.Placement.Policy)
 	if err != nil {
 		return fmt.Errorf("scenario %q: %w", s.Name, err)
 	}

@@ -69,7 +69,7 @@ func TestCompileMatchesPairSpec(t *testing.T) {
 			{App: bg.Name, Role: RoleBatch, Threads: 4, Ways: &[2]int{8, 12}},
 		},
 	}
-	mix, err := s.Compile(r.MachineConfig())
+	mix, err := s.Compile(machine.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestKeyDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mix, err := s.Compile(r.MachineConfig())
+		mix, err := s.Compile(machine.Default())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,7 +170,7 @@ func TestPolicyParamsRoundTrip(t *testing.T) {
 
 	r := sched.New(sched.Options{Scale: testScale})
 	key := func(s *Scenario) string {
-		mix, err := s.CompileOnline(r.MachineConfig(), r.Scale(), nil)
+		mix, err := s.CompileOnline(machine.Default(), r.Scale(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +240,7 @@ func TestOnlineKeyEncodesRoles(t *testing.T) {
 				{App: "429.mcf", Role: roleB, Threads: 2, Seed: "s2", Loop: loopFor(roleB, &noLoop)},
 			},
 		}
-		mix, err := s.CompileOnline(r.MachineConfig(), r.Scale(), nil)
+		mix, err := s.CompileOnline(machine.Default(), r.Scale(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -113,4 +114,40 @@ func TestMixInvalidPlacementPanics(t *testing.T) {
 		{App: app, Threads: 2, Slots: []int{0, 1}, Seed: "a"},
 		{App: app, Threads: 2, Slots: []int{1, 2}, Seed: "b"},
 	}})
+}
+
+// TestPairSpecPlacesHalves: the §5 pair puts the foreground on the
+// front half of the platform's cores and the background on the back
+// half, threads capped at a half's hyperthreads — cores 0-1 / 2-3 on
+// the 4-core default, cores 0-3 / 4-7 on an 8-core machine.
+func TestPairSpecPlacesHalves(t *testing.T) {
+	fg := workload.MustByName("canneal")
+	bg := workload.MustByName("ferret")
+	pair := PairSpec{Fg: fg, Bg: bg, FgWays: 8, BgWays: 4, Mode: BackgroundLoop}
+	for _, tc := range []struct {
+		cfg              machine.Config
+		fgSlots, bgSlots []int
+		threads          int
+	}{
+		{machine.Default(), []int{0, 1, 2, 3}, []int{4, 5, 6, 7}, 4},
+		{machine.DefaultWithCores(8), []int{0, 1, 2, 3, 4, 5, 6, 7}, []int{8, 9, 10, 11, 12, 13, 14, 15}, 8},
+	} {
+		mix := pair.Mix(tc.cfg)
+		if len(mix.Jobs) != 2 {
+			t.Fatalf("%d cores: %d jobs", tc.cfg.Cores, len(mix.Jobs))
+		}
+		f, b := mix.Jobs[0], mix.Jobs[1]
+		if !slices.Equal(f.Slots, tc.fgSlots) || !slices.Equal(b.Slots, tc.bgSlots) {
+			t.Errorf("%d cores: slots fg %v bg %v, want %v / %v", tc.cfg.Cores, f.Slots, b.Slots, tc.fgSlots, tc.bgSlots)
+		}
+		if f.Threads != tc.threads || b.Threads != tc.threads {
+			t.Errorf("%d cores: threads fg %d bg %d, want %d", tc.cfg.Cores, f.Threads, b.Threads, tc.threads)
+		}
+		if f.Seed != "fg" || b.Seed != "bg" || f.Background || !b.Background {
+			t.Errorf("%d cores: roles fg %+v bg %+v", tc.cfg.Cores, f, b)
+		}
+		if f.WayFirst != 0 || f.WayLim != 8 || b.WayFirst != 8 || b.WayLim != 12 {
+			t.Errorf("%d cores: ways fg [%d,%d) bg [%d,%d)", tc.cfg.Cores, f.WayFirst, f.WayLim, b.WayFirst, b.WayLim)
+		}
+	}
 }

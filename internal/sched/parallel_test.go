@@ -150,12 +150,12 @@ func TestSetupHookNotMemoizedButBatchable(t *testing.T) {
 	bg := workload.MustByName("batik")
 	var mu sync.Mutex
 	calls := 0
-	spec := PairSpec{Fg: fg, Bg: bg, Mode: BackgroundLoop,
-		Setup: func(m *machine.Machine, f, b *machine.Job) {
-			mu.Lock()
-			calls++
-			mu.Unlock()
-		}}
+	spec := PairSpec{Fg: fg, Bg: bg, Mode: BackgroundLoop}.Mix(machine.Default())
+	spec.Setup = func(m *machine.Machine, jobs []*machine.Job) {
+		mu.Lock()
+		calls++
+		mu.Unlock()
+	}
 	out := r.RunBatch([]Spec{spec, spec, spec})
 	if calls != 3 {
 		t.Fatalf("setup hook ran %d times for 3 batched specs, want 3", calls)

@@ -468,10 +468,12 @@ const (
 	BothOnce
 )
 
-// PairSpec describes a co-scheduled foreground/background pair. The
-// foreground is pinned to cores 0-1 (4 hyperthreads), the background to
-// cores 2-3, matching §5's placement. Run directly as a Spec it builds
-// on the default platform; Mix builds it on any other.
+// PairSpec describes a co-scheduled foreground/background pair in
+// §5's placement: the foreground on the front half of the platform's
+// cores, the background on the back half (cores 0-1 / 2-3 on the
+// 4-core prototype), each capped at a half's hyperthreads. Run
+// directly as a Spec it builds on the default platform; Mix builds it
+// on any other.
 type PairSpec struct {
 	Fg, Bg *workload.Profile
 	// FgWays/BgWays give each side's LLC allocation. Both zero = fully
@@ -480,20 +482,12 @@ type PairSpec struct {
 	// foreground gets the low ways, the background the high ways.
 	FgWays, BgWays int
 	Mode           PairMode
-	// Setup, if non-nil, runs after jobs are scheduled and before the
-	// run starts (samplers and decision loops hook in here). Runs with
-	// a Setup hook are not memoized (the hook may close over external
-	// state), but they may still be batched: each batched run gets its
-	// own machine, and RunBatch's completion barrier makes the hook's
-	// writes visible to the caller.
-	Setup func(m *machine.Machine, fg, bg *machine.Job)
-	// Prefetch overrides the platform prefetcher configuration.
-	Prefetch *prefetch.Config
 }
 
 // Mix builds the scenario this spec denotes on the given platform: a
-// two-job pack-placed mix, the foreground in the low ways and the
-// background in the high ways when a static split is given.
+// two-job mix on the platform's core halves, the foreground in the low
+// ways and the background in the high ways when a static split is
+// given.
 func (s PairSpec) Mix(cfg machine.Config) MixSpec {
 	assoc := cfg.Hier.LLC.Assoc
 	var fgFirst, fgLim, bgFirst, bgLim int
@@ -507,24 +501,21 @@ func (s PairSpec) Mix(cfg machine.Config) MixSpec {
 		panic(fmt.Sprintf("sched: invalid pair partition %d+%d ways of %d",
 			s.FgWays, s.BgWays, assoc))
 	}
-	mix := MixSpec{
+	half := cfg.Cores / 2 * cfg.ThreadsPerCore // a half's hyperthreads
+	front, back := make([]int, half), make([]int, half)
+	for i := range front {
+		front[i], back[i] = i, half+i
+	}
+	return MixSpec{
 		Jobs: []MixJob{
-			{App: s.Fg, Threads: CapThreads(s.Fg, 4), Slots: cfg.SlotsForCores(0, 1),
+			{App: s.Fg, Threads: CapThreads(s.Fg, half), Slots: front,
 				Seed: "fg", WayFirst: fgFirst, WayLim: fgLim},
-			{App: s.Bg, Threads: CapThreads(s.Bg, 4), Slots: cfg.SlotsForCores(2, 3),
+			{App: s.Bg, Threads: CapThreads(s.Bg, half), Slots: back,
 				Background: s.Mode == BackgroundLoop,
 				Seed:       "bg", WayFirst: bgFirst, WayLim: bgLim},
 		},
-		Machine:  Platform(cfg),
-		Prefetch: s.Prefetch,
+		Machine: Platform(cfg),
 	}
-	if s.Setup != nil {
-		setup := s.Setup
-		mix.Setup = func(m *machine.Machine, jobs []*machine.Job) {
-			setup(m, jobs[0], jobs[1])
-		}
-	}
-	return mix
 }
 
 func (s PairSpec) memoKey(r *Runner) string { return s.Mix(defaultPlatform).memoKey(r) }

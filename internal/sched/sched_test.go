@@ -150,13 +150,14 @@ func TestSetupHookRuns(t *testing.T) {
 	fg := workload.MustByName("fop")
 	bg := workload.MustByName("batik")
 	called := false
-	r.Run(PairSpec{Fg: fg, Bg: bg, Mode: BackgroundLoop,
-		Setup: func(m *machine.Machine, f, b *machine.Job) {
-			called = true
-			if f.Name() != "fop" || b.Name() != "batik" {
-				t.Errorf("setup hook jobs: %s, %s", f.Name(), b.Name())
-			}
-		}})
+	mix := PairSpec{Fg: fg, Bg: bg, Mode: BackgroundLoop}.Mix(machine.Default())
+	mix.Setup = func(m *machine.Machine, jobs []*machine.Job) {
+		called = true
+		if jobs[0].Name() != "fop" || jobs[1].Name() != "batik" {
+			t.Errorf("setup hook jobs: %s, %s", jobs[0].Name(), jobs[1].Name())
+		}
+	}
+	r.Run(mix)
 	if !called {
 		t.Fatal("setup hook not invoked")
 	}
